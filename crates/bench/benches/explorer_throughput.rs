@@ -5,7 +5,9 @@
 //! Besides the criterion timings (`BENCH_explorer_throughput.json`),
 //! this bench writes `BENCH_explorer_dedup.json` recording the state
 //! counts both ways, quantifying exactly how much the fingerprint
-//! visited-set prunes, and `BENCH_telemetry_overhead.json` — an A/B of
+//! visited-set prunes, and the dedup on/off wall-time ratio the CI
+//! metrics-smoke job gates below 1.0 (dedup must pay for itself), and
+//! `BENCH_telemetry_overhead.json` — an A/B of
 //! the same serial corpus pass with the `sct-telemetry` registry
 //! disabled and enabled, gating the instrumentation's overhead (the
 //! CI metrics-smoke job asserts it stays under 3%).
@@ -104,9 +106,45 @@ fn bench_explorer_throughput(c: &mut Criterion) {
 }
 
 /// One representative run per configuration, recording explored-state
-/// counts with dedup on/off (the numbers the timings are explained by).
+/// counts with dedup on/off (the numbers the timings are explained by),
+/// headed by the host-independent gate: the best-of-`REPS` wall time of
+/// the `corpus_v1` pass at bound 20 with dedup on, over the same with
+/// dedup off. Dedup pays when the ratio is below 1.0; the CI
+/// metrics-smoke job fails otherwise.
 fn write_dedup_counts() {
-    let mut json = String::from("{\n  \"workloads\": [\n");
+    const BOUND: usize = 20;
+    // Each pass takes about half a millisecond: many cheap reps keep the
+    // best-of estimate clear of the host's speed swings.
+    const REPS: usize = 21;
+    let items = corpus_items(BOUND);
+    // One warm-up pass per arm so neither pays first-touch allocation;
+    // then the arms alternate so host drift hits both alike.
+    corpus_pass(&items, BOUND, false, true);
+    corpus_pass(&items, BOUND, false, false);
+    let (mut best_on, mut best_off) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        for (dedup, best) in [(true, &mut best_on), (false, &mut best_off)] {
+            let start = std::time::Instant::now();
+            black_box(corpus_pass(&items, BOUND, false, dedup).totals.states);
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    let ratio = best_on / best_off;
+    let manifest = sct_bench::manifest::RunManifest::capture(
+        &format!("explorer_dedup corpus_v1 bound={BOUND} reps={REPS} bounds={BOUNDS:?}"),
+        0,
+        &[1],
+    );
+    let mut json = String::from("{\n");
+    json.push_str(&manifest.json_fields("  "));
+    let _ = writeln!(
+        json,
+        "  \"wall_time\": {{\"workload\": \"corpus_v1\", \"bound\": {BOUND}, \"reps\": {REPS}, \
+         \"best_dedup_s\": {best_on:.6}, \"best_nodedup_s\": {best_off:.6}, \
+         \"ratio\": {ratio:.3}, \"ratio_base\": \"nodedup\", \"dedup_pays\": {}}},",
+        ratio < 1.0
+    );
+    json.push_str("  \"workloads\": [\n");
     let mut first = true;
     let mut emit = |name: &str, bound: usize, on: (usize, usize, bool), off: (usize, bool)| {
         let sep = if first { "" } else { ",\n" };
@@ -146,12 +184,20 @@ fn write_dedup_counts() {
         }
     }
     json.push_str("\n  ]\n}\n");
-    let path = criterion::Criterion::output_dir().join("BENCH_explorer_dedup.json");
+    let dir = criterion::Criterion::output_dir();
+    let path = dir.join("BENCH_explorer_dedup.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
     } else {
         println!("wrote {}", path.display());
     }
+    let _ = manifest.append_audit(&dir, "BENCH_explorer_dedup.json");
+    println!(
+        "dedup wall-time ratio (on/off, corpus_v1 bound {BOUND}): {ratio:.3} \
+         ({:.3} ms / {:.3} ms)",
+        best_on * 1e3,
+        best_off * 1e3
+    );
 }
 
 /// A/B overhead gate for the telemetry instrumentation: the same

@@ -15,6 +15,14 @@
 //! differs, and that prefix is known clean or it would have been
 //! reported when first reached.
 //!
+//! Expanding a state is cheap because successors share structure with
+//! their parent: the first directive of a continuation steps from the
+//! borrowed parent, memory and registers are copy-on-write, and the
+//! schedule and trace live in a persistent list of parent-linked steps,
+//! so a successor costs one copy of the reorder buffer, RSB, path
+//! condition and variable pool. A witness's schedule and trace are
+//! rebuilt from that list only when the violation is recorded.
+//!
 //! The explorer enumerates the *tool schedules* `DT(n)`:
 //!
 //! * instructions are fetched eagerly until the reorder buffer holds
@@ -365,6 +373,10 @@ impl<'p> Explorer<'p> {
         let dedup = self.options.dedup_states;
         let mut visited: std::collections::HashSet<u128> = std::collections::HashSet::new();
         if dedup {
+            // Pre-sized: most explorations are small, and growing a set
+            // from empty rehashes it several times in the first few dozen
+            // states.
+            visited.reserve(64);
             visited.insert(initial.fingerprint());
         }
         let mut frontier = self.options.strategy.frontier();
@@ -389,7 +401,7 @@ impl<'p> Explorer<'p> {
             sink.emit(Event::StateExpanded {
                 states: report.stats.states,
                 frontier: frontier.len(),
-                rob_depth: state.rob.len(),
+                state: &state,
             });
             let conts = self.continuations(&state);
             if conts.is_empty() {
@@ -448,13 +460,20 @@ impl<'p> Explorer<'p> {
         report: &mut Report,
         sink: &mut S,
     ) -> Vec<SymState> {
-        let mut frontier = vec![state.clone()];
         let directives = cont.directives();
+        let mut frontier = Vec::new();
         for (k, &d) in directives.iter().enumerate() {
             let last = k + 1 == directives.len();
+            // The first directive steps from the borrowed parent; each
+            // successor is the one copy the machine makes.
+            let parents = if k == 0 {
+                std::slice::from_ref(state)
+            } else {
+                &frontier[..]
+            };
             let mut next = Vec::new();
-            for st in frontier {
-                let succs = match self.machine.step(&st, d) {
+            for st in parents {
+                let succs = match self.machine.step(st, d) {
                     Ok(s) => s,
                     // A continuation that turns out inapplicable (e.g. a
                     // forwarding variant whose store/load interaction is
@@ -463,24 +482,28 @@ impl<'p> Explorer<'p> {
                 };
                 for succ in succs {
                     report.stats.steps += 1;
-                    let new_from = st.trace.len();
+                    // Every step records exactly one directive, so this
+                    // step's fresh observations are the newest node's.
+                    let fresh = succ.last_observations();
                     if last {
-                        let rolled_back =
-                            succ.trace[new_from..].contains(&Observation::Rollback);
+                        let rolled_back = fresh.contains(&Observation::Rollback);
                         match cont {
                             Cont::SeqNoRollback(_) if rolled_back => continue,
                             Cont::SeqRollbackOnly(_) if !rolled_back => continue,
                             _ => {}
                         }
                     }
-                    // Scan only this step's fresh observations for leaks.
-                    if let Some(p) = succ.trace[new_from..].iter().position(|o| o.is_secret())
-                    {
-                        let pos = new_from + p;
+                    // Scan only this step's fresh observations for leaks;
+                    // the witness's schedule and trace are rebuilt from
+                    // the shared history only here.
+                    if let Some(p) = fresh.iter().position(|o| o.is_secret()) {
+                        let observation = fresh[p];
+                        let mut trace = succ.trace();
+                        trace.truncate(trace.len() - (fresh.len() - p - 1));
                         let violation = Violation {
-                            observation: succ.trace[pos],
-                            schedule: succ.schedule.clone(),
-                            trace: succ.trace[..=pos].to_vec(),
+                            observation,
+                            schedule: succ.schedule(),
+                            trace,
                             pc: succ.pc,
                             constraints: succ
                                 .constraints
@@ -624,14 +647,14 @@ impl<'p> Explorer<'p> {
                 Cont::Seq(vec![Directive::FetchBranch(true)]),
                 Cont::Seq(vec![Directive::FetchBranch(false)]),
             ],
-            Instr::Jmpi { .. } => {
+            Instr::Jmpi { args } => {
                 // The paper's Pitchfork follows the correct
                 // indirect-jump target only (§4); with
                 // `jmpi_mistraining` we additionally speculate to every
                 // program point, executing the jump as late as possible
                 // (the rollback-only pattern, like wrong branch guesses).
                 let mut out = Vec::new();
-                let correct = self.peek_jmpi_target(state);
+                let correct = self.machine.peek_jmpi_target(state, args).ok();
                 if let Some(target) = correct {
                     out.push(Cont::Seq(vec![
                         Directive::FetchJump(target),
@@ -726,31 +749,6 @@ impl<'p> Explorer<'p> {
                 }
             }
             _ => vec![Cont::Seq(vec![Directive::Retire])],
-        }
-    }
-
-    /// Resolve and concretize the indirect-jump target on a scratch
-    /// state (the real fetch/execute repeats the concretization, which
-    /// is deterministic).
-    fn peek_jmpi_target(&self, state: &SymState) -> Option<u64> {
-        let Some(Instr::Jmpi { args }) = self.machine.program.fetch(state.pc) else {
-            return None;
-        };
-        let mut scratch = state.clone();
-        let i = scratch.rob.next_index();
-        scratch.rob.push(SymTransient::Jmpi {
-            args: args.clone(),
-            guess: 0,
-        });
-        let succs = self.machine.step(&scratch, Directive::Execute(i)).ok()?;
-        let succ = succs.first()?;
-        match succ.rob.get(i) {
-            Some(SymTransient::Jump { target }) => Some(*target),
-            _ => {
-                // Mispredicted against the dummy guess 0: the jump was
-                // re-pushed after a rollback; read the redirect target.
-                Some(succ.pc)
-            }
         }
     }
 }

@@ -232,8 +232,8 @@
 //! order-insensitive statistics (`states`, `steps`, `deduped`) are
 //! identical to serial mode — the work-stealing-equivalence suite pins
 //! this over the litmus corpus and Table 2 for every strategy at 2/4/8
-//! threads (there, with the full schedules too), and a property test
-//! hammers the steal/terminate races under randomized victim order.
+//! threads, and a property test hammers the steal/terminate races
+//! under randomized victim order.
 //! What may differ: which witness is found *first* (`first_witness_*`
 //! record whichever a worker reached first; merged violation lists are
 //! sorted canonically), event interleaving, the **schedule prefix**
@@ -242,6 +242,15 @@
 //! the leak's location and observation never are), and — under a
 //! `max_states` / `max_violations` truncation — the explored prefix,
 //! exactly as it already differs across strategies.
+//! The corpus is *not* free of such reconvergent witnesses:
+//! `kocher_15` reaches its `(pc 6, read 0xb6sec)` leak along two
+//! schedule prefixes, so the corpus suite that compares full
+//! `(pc, schedule, observation)` witness sets between the engines
+//! (`parallel_witness_sets_match_serial`) fails intermittently on
+//! multi-core hosts. Canonical schedules need the least
+//! `(parent fingerprint, directive)` edge kept per visited state and
+//! witnesses rebuilt from those links, an open ROADMAP item that the
+//! per-state parent links of the path history prepare for.
 //! Each worker pops its own frontier in strategy order; *globally* the
 //! [`SearchStrategy`] acts as a priority hint, since which states a
 //! worker owns depends on donation timing.
@@ -406,10 +415,19 @@
 //!   conditions and concretizing addresses angr-style;
 //! * [`Explorer`] enumerates the worst-case schedules (Definition
 //!   B.18) with an explicit frontier (ordered by the session's
-//!   strategy) and a visited set keyed by [`SymState::fingerprint`];
+//!   strategy) and a visited set keyed by [`SymState::fingerprint`]
+//!   (a two-lane 128-bit word hash, [`sct_symx::Fingerprinter`], into
+//!   which registers and memory enter as digests cached per map
+//!   version);
 //!   schedules that reconverge on an already-expanded state are pruned,
 //!   which is what keeps deep speculation bounds (250 for v1, 20 for
 //!   v4) tractable;
+//! * [`SymState`] successors share structure with their parent:
+//!   memory and registers are copy-on-write maps that only a retiring
+//!   store or assignment copies, and the path history (schedule and
+//!   trace) is a persistent list with one parent-linked node per step,
+//!   rebuilt into a [`Schedule`](sct_core::Schedule) and trace only
+//!   when a violation is recorded;
 //! * [`repair`](crate::repair) inserts fences until the detector is
 //!   satisfied.
 

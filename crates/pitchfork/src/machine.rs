@@ -23,7 +23,7 @@ use sct_core::{
 use sct_symx::{Expr, Solver, SymVal};
 
 /// A successor state produced by one symbolic step (already recorded
-/// into the state's schedule/trace).
+/// into the state's history).
 pub type Successors = Vec<SymState>;
 
 /// The symbolic machine: program + parameters + solver.
@@ -197,10 +197,7 @@ impl<'p> SymMachine<'p> {
         match expr.as_const() {
             Some(a) => (a, label),
             None => {
-                let a = self
-                    .solver
-                    .concretize(&expr, &state.constraints)
-                    .unwrap_or(0);
+                let a = self.concretize(state, &expr);
                 state.assume(Expr::app(
                     OpCode::Eq,
                     vec![expr, Expr::constant(a)],
@@ -208,6 +205,33 @@ impl<'p> SymMachine<'p> {
                 (a, label)
             }
         }
+    }
+
+    /// The value the solver pins a symbolic address to (0 when the path
+    /// condition admits none).
+    fn concretize(&self, state: &SymState, expr: &Expr) -> u64 {
+        self.solver
+            .concretize(expr, &state.constraints)
+            .unwrap_or(0)
+    }
+
+    /// The target that executing a `jmpi` over `args`, fetched next
+    /// into `state`'s buffer, would resolve to — computed on the
+    /// borrowed state instead of a stepped copy. The concretization is
+    /// deterministic, so the real fetch and execute land on the same
+    /// target.
+    pub(crate) fn peek_jmpi_target(
+        &self,
+        state: &SymState,
+        args: &[Operand],
+    ) -> Result<Pc, StepError> {
+        let i = state.rob.next_index();
+        self.check_no_fence_below(state, i)?;
+        let vals = self.resolve_list(state, i, args)?;
+        let expr = self.sym_addr_expr(&vals);
+        Ok(expr
+            .as_const()
+            .unwrap_or_else(|| self.concretize(state, &expr)))
     }
 
     /// Adversarial address concretization for loads: the attacker
@@ -239,10 +263,7 @@ impl<'p> SymMachine<'p> {
                 return (s, label);
             }
         }
-        let a = self
-            .solver
-            .concretize(&expr, &state.constraints)
-            .unwrap_or(0);
+        let a = self.concretize(state, &expr);
         state.assume(Expr::app(OpCode::Eq, vec![expr, Expr::constant(a)]));
         (a, label)
     }
@@ -959,7 +980,7 @@ mod tests {
             assert_eq!(succs.len(), 1, "concrete run must not fork at {d}");
             cur = succs.into_iter().next().unwrap();
         }
-        assert!(cur.trace.iter().any(|o| o.is_secret()));
+        assert!(cur.trace().iter().any(|o| o.is_secret()));
     }
 
     #[test]
@@ -977,7 +998,7 @@ mod tests {
         // One successor resolved correctly (guess true), one rolled back.
         let rollbacks = succs
             .iter()
-            .filter(|s| s.trace.contains(&Observation::Rollback))
+            .filter(|s| s.last_observations().contains(&Observation::Rollback))
             .count();
         assert_eq!(rollbacks, 1);
         // Each successor carries a path constraint on ra.
@@ -1001,7 +1022,7 @@ mod tests {
         // The load's address 0x40 + ra was symbolic: a constraint pins it.
         assert!(!st.constraints.is_empty());
         assert!(matches!(
-            st.trace.last(),
+            st.last_observations().last(),
             Some(Observation::Read { .. })
         ));
     }

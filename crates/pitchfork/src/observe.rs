@@ -9,6 +9,7 @@
 //! and simple progress displays.
 
 use crate::report::Violation;
+use crate::state::SymState;
 
 /// One analysis event, borrowed from the engine's state at the moment
 /// it happens.
@@ -21,8 +22,8 @@ pub enum Event<'a> {
         states: usize,
         /// Frontier occupancy after the expansion.
         frontier: usize,
-        /// Reorder-buffer occupancy of the expanded state.
-        rob_depth: usize,
+        /// The expanded state.
+        state: &'a SymState,
     },
     /// A secret-labeled observation was witnessed.
     ViolationFound {
@@ -105,11 +106,11 @@ impl From<&Event<'_>> for OwnedEvent {
             Event::StateExpanded {
                 states,
                 frontier,
-                rob_depth,
+                state,
             } => OwnedEvent::StateExpanded {
                 states,
                 frontier,
-                rob_depth,
+                rob_depth: state.rob.len(),
             },
             Event::ViolationFound { violation, states } => OwnedEvent::ViolationFound {
                 states,
@@ -176,9 +177,9 @@ pub struct EventLog {
 impl Observer for EventLog {
     fn on_event(&mut self, event: &Event<'_>) {
         match event {
-            Event::StateExpanded { rob_depth, .. } => {
+            Event::StateExpanded { state, .. } => {
                 self.states_expanded += 1;
-                self.max_rob_depth = self.max_rob_depth.max(*rob_depth);
+                self.max_rob_depth = self.max_rob_depth.max(state.rob.len());
             }
             Event::ViolationFound { states, .. } => {
                 self.violations_found += 1;
@@ -237,16 +238,25 @@ mod tests {
 
     #[test]
     fn event_log_aggregates() {
+        let (_, cfg) = sct_core::examples::fig1();
+        let with_depth = |depth: usize| {
+            let mut st = SymState::from_config(&cfg);
+            for _ in 0..depth {
+                st.rob.push(crate::state::SymTransient::Fence);
+            }
+            st
+        };
+        let (deep, shallow) = (with_depth(5), with_depth(3));
         let mut log = EventLog::default();
         log.on_event(&Event::StateExpanded {
             states: 1,
             frontier: 2,
-            rob_depth: 5,
+            state: &deep,
         });
         log.on_event(&Event::StateExpanded {
             states: 2,
             frontier: 1,
-            rob_depth: 3,
+            state: &shallow,
         });
         log.on_event(&Event::EpochRetired {
             epoch: 0,

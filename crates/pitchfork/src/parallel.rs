@@ -695,7 +695,7 @@ fn worker(explorer: &Explorer<'_>, shared: &Shared<'_>, threads: usize) -> Repor
         sink.emit(Event::StateExpanded {
             states: states_now,
             frontier: shared.queued.load(Ordering::Relaxed),
-            rob_depth: state.rob.len(),
+            state: &state,
         });
 
         // ----- expand -----

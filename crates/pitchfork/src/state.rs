@@ -4,8 +4,10 @@ use sct_core::instr::Operand;
 use sct_core::rob::Rob;
 use sct_core::rsb::Rsb;
 use sct_core::{Config, Directive, Label, Observation, OpCode, Pc, Reg, Schedule};
-use sct_symx::{Expr, SymMemory, SymRegFile, SymVal, VarPool};
+use sct_symx::{Expr, Fingerprinter, SymMemory, SymRegFile, SymVal, VarPool};
 use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// Provenance of a resolved symbolic load (`{j, a}` with a concretized
 /// address).
@@ -238,8 +240,13 @@ impl fmt::Display for SymTransient {
     }
 }
 
-/// A symbolic execution state: configuration + path condition +
-/// accumulated schedule/trace.
+/// A symbolic execution state: configuration + path condition + the
+/// path history (schedule and trace) that reached it.
+///
+/// Successors share structure with their parent: registers and memory
+/// are copy-on-write maps, and the history is a persistent list, so a
+/// clone copies the reorder buffer, RSB, path condition and variable
+/// pool and bumps three reference counts.
 #[derive(Clone, Debug)]
 pub struct SymState {
     /// Symbolic register file.
@@ -256,10 +263,8 @@ pub struct SymState {
     pub constraints: Vec<Expr>,
     /// Variable pool (symbolic inputs minted so far).
     pub pool: VarPool,
-    /// The schedule of directives taken along this path.
-    pub schedule: Schedule,
-    /// The observation trace along this path.
-    pub trace: Vec<Observation>,
+    /// The directives taken along this path and their observations.
+    history: History,
 }
 
 impl SymState {
@@ -273,8 +278,7 @@ impl SymState {
             rsb: config.rsb.clone(),
             constraints: Vec::new(),
             pool: VarPool::new(),
-            schedule: Schedule::new(),
-            trace: Vec::new(),
+            history: History::default(),
         }
     }
 
@@ -293,8 +297,37 @@ impl SymState {
 
     /// Record one executed directive and its observations.
     pub fn record(&mut self, d: Directive, obs: &[Observation]) {
-        self.schedule.push(d);
-        self.trace.extend_from_slice(obs);
+        self.history = History(Some(Arc::new(Step {
+            directive: d,
+            observations: obs.into(),
+            parent: std::mem::take(&mut self.history),
+        })));
+    }
+
+    /// The observations of the most recently recorded directive (empty
+    /// for an initial state).
+    pub fn last_observations(&self) -> &[Observation] {
+        self.history.0.as_ref().map_or(&[], |s| &s.observations)
+    }
+
+    /// The schedule of directives taken along this path, rebuilt from
+    /// the shared history in O(path length).
+    pub fn schedule(&self) -> Schedule {
+        let mut directives: Vec<Directive> = self.history.steps().map(|s| s.directive).collect();
+        directives.reverse();
+        Schedule(directives)
+    }
+
+    /// The observation trace along this path, rebuilt from the shared
+    /// history in O(path length).
+    pub fn trace(&self) -> Vec<Observation> {
+        let mut trace: Vec<Observation> = self
+            .history
+            .steps()
+            .flat_map(|s| s.observations.iter().rev().copied())
+            .collect();
+        trace.reverse();
+        trace
     }
 
     /// Add a path constraint. The constraint vector is kept sorted by
@@ -315,31 +348,75 @@ impl SymState {
     /// and memory expressions, and the path condition as a canonical
     /// (sorted, deduplicated) set of interned constraint ids.
     ///
-    /// The schedule and trace taken to reach the state are deliberately
-    /// excluded: two states that agree on the fingerprint explore
-    /// identical futures, so the worklist engine keeps only one. The
-    /// two halves are SipHash over the same data with different
-    /// prefixes — two passes buy 128 genuinely independent bits
-    /// (deriving one half from the other would collapse the entropy to
-    /// 64), making accidental collisions (~2⁻¹²⁸) irrelevant in
-    /// practice.
+    /// The history taken to reach the state is deliberately excluded:
+    /// two states that agree on the fingerprint explore identical
+    /// futures, so the worklist engine keeps only one.
+    ///
+    /// Construction: the fields' derived `Hash` impls turn the state
+    /// into a stream of integer words, fed once through a
+    /// [`Fingerprinter`] (two 64-bit lanes, each closed by a
+    /// full-avalanche finalizer; its module docs give the collision
+    /// argument). The stream is prefix-free (every variable-length
+    /// part — buffer, RSB, path condition — is preceded by its length,
+    /// every enum by its discriminant), so structurally distinct states
+    /// give distinct streams. Registers and memory enter as the 128-bit
+    /// digests their copy-on-write maps cache: a map is hashed once per
+    /// version, not once per state that shares it, and distinct maps
+    /// have equal digests with probability about 2⁻¹²⁸. A fingerprint
+    /// collision therefore needs a 128-bit coincidence, for inputs not
+    /// crafted against the hasher's public constants — the same footing
+    /// as the keyed hash this replaced, whose keys were fixed too. The
+    /// constants are fixed, so a fingerprint does not depend on the run
+    /// or the host.
     pub fn fingerprint(&self) -> u128 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
+        let mut h = Fingerprinter::new();
+        self.pc.hash(&mut h);
+        self.rob.hash(&mut h);
+        self.rsb.hash(&mut h);
+        self.regs.hash(&mut h);
+        self.mem.hash(&mut h);
+        // Canonical (sorted, deduplicated) by `assume`'s invariant.
+        self.constraints.hash(&mut h);
+        h.finish128()
+    }
+}
 
-        let hash_with = |prefix: u64| {
-            let mut h = DefaultHasher::new();
-            prefix.hash(&mut h);
-            self.pc.hash(&mut h);
-            self.rob.hash(&mut h);
-            self.rsb.hash(&mut h);
-            self.regs.hash(&mut h);
-            self.mem.hash(&mut h);
-            // Canonical (sorted, deduplicated) by `assume`'s invariant.
-            self.constraints.hash(&mut h);
-            h.finish()
-        };
-        (u128::from(hash_with(0x5c7)) << 64) | u128::from(hash_with(0xa5a5_0f0f))
+/// The path that reached a state, newest step first: an `Arc`-linked
+/// list whose nodes successors share with their parent.
+#[derive(Clone, Default)]
+struct History(Option<Arc<Step>>);
+
+/// One recorded directive with the observations it produced.
+struct Step {
+    directive: Directive,
+    observations: Box<[Observation]>,
+    parent: History,
+}
+
+impl History {
+    /// The steps from the newest back to the first.
+    fn steps(&self) -> impl Iterator<Item = &Step> + '_ {
+        std::iter::successors(self.0.as_deref(), |s| s.parent.0.as_deref())
+    }
+}
+
+impl fmt::Debug for History {
+    /// Newest step first, walked iteratively like [`Drop`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.steps().map(|s| (s.directive, &s.observations)))
+            .finish()
+    }
+}
+
+impl Drop for History {
+    /// Unlink iteratively: a recursive drop of a long path would
+    /// overflow the stack of a worker thread.
+    fn drop(&mut self) {
+        let mut next = self.0.take();
+        while let Some(step) = next {
+            next = Arc::into_inner(step).and_then(|mut s| s.parent.0.take());
+        }
     }
 }
 
@@ -374,6 +451,62 @@ mod tests {
         assert!(st.regs.read(RA).label.is_public());
         assert!(st.regs.read(RB).label.is_secret());
         assert_eq!(st.pool.len(), 2);
+    }
+
+    #[test]
+    fn history_rebuilds_schedule_and_trace_in_order() {
+        let (_, cfg) = sct_core::examples::fig1();
+        let mut st = SymState::from_config(&cfg);
+        assert!(st.schedule().is_empty() && st.trace().is_empty());
+        let read = Observation::Read {
+            addr: 0x40,
+            label: Label::Public,
+        };
+        st.record(Directive::Fetch, &[]);
+        st.record(Directive::Execute(1), &[Observation::Rollback, read]);
+        let parent = st.clone();
+        st.record(Directive::Retire, &[read]);
+        assert_eq!(
+            st.schedule().0,
+            vec![Directive::Fetch, Directive::Execute(1), Directive::Retire]
+        );
+        assert_eq!(st.trace(), vec![Observation::Rollback, read, read]);
+        assert_eq!(st.last_observations(), &[read]);
+        // The parent's view is unaffected by its successor's step.
+        assert_eq!(parent.schedule().len(), 2);
+        assert_eq!(parent.last_observations(), &[Observation::Rollback, read]);
+    }
+
+    #[test]
+    fn long_history_prints_and_drops_without_deep_recursion() {
+        let (_, cfg) = sct_core::examples::fig1();
+        std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(move || {
+                let mut st = SymState::from_config(&cfg);
+                for _ in 0..100_000 {
+                    st.record(Directive::Retire, &[]);
+                }
+                assert!(format!("{st:?}").contains("Retire"));
+                drop(st);
+            })
+            .expect("spawn")
+            .join()
+            .expect("printing or dropping a long history must not overflow the stack");
+    }
+
+    #[test]
+    fn fingerprint_covers_state_not_history() {
+        let (_, cfg) = sct_core::examples::fig1();
+        let base = SymState::from_config(&cfg);
+        let mut other_path = base.clone();
+        other_path.record(Directive::Fetch, &[Observation::Rollback]);
+        assert_eq!(base.fingerprint(), other_path.fingerprint());
+        let mut written = base.clone();
+        written.mem.write(0x40, SymVal::secret(1));
+        assert_ne!(base.fingerprint(), written.fingerprint());
+        // Copy-on-write: the clone's write left the original intact.
+        assert_eq!(base.mem, SymState::from_config(&cfg).mem);
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //! schedule prefixes reconverge on one fingerprint whose future leaks,
 //! which prefix the report names depends on which duplicate won the
 //! visited-set insert — deterministic serially, a race in parallel.
-//! `proggen` programs hit such reconvergent witnesses routinely; the
-//! litmus corpus and Table 2 never do, which is why the corpus suites
-//! can (and do) pin full `(pc, schedule, observation)` equality.
+//! `proggen` programs hit such reconvergent witnesses routinely, and
+//! the litmus corpus does too: `kocher_15` reaches its
+//! `(pc 6, read 0xb6sec)` leak along two schedule prefixes, which is
+//! why the corpus suite pinning full `(pc, schedule, observation)`
+//! equality (`parallel_witness_sets_match_serial`) fails intermittently
+//! on multi-core hosts. Making witness schedules canonical — keeping
+//! the least parent edge per visited state — is an open ROADMAP item.
 //!
 //! Small random programs are the adversarial case for *termination*,
 //! not throughput: workers go hungry almost immediately, so the run

@@ -20,8 +20,12 @@
 //!   canonical constraint set ([`solver_memo_stats`]) — the same path
 //!   conditions recur constantly across schedules and programs;
 //! * [`symmem`](crate::symmem) — labeled symbolic values ([`SymVal`] is
-//!   two words and `Copy`), register files, and memories, all cheap to
-//!   clone because contents are interned ids.
+//!   two words and `Copy`), register files, and memories; the latter
+//!   two are copy-on-write maps, so a clone is a reference-count bump,
+//!   and each caches its [`fingerprint`](crate::fingerprint) digest
+//!   until the next write.
+//! * [`fingerprint`](crate::fingerprint) — [`Fingerprinter`], the
+//!   fixed-seed two-lane 128-bit word hasher behind state fingerprints.
 //!
 //! The arena is shared by every analysis in the process — batch runs
 //! over a corpus, and worker threads of one parallel exploration,
@@ -76,6 +80,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod expr;
+pub mod fingerprint;
 pub mod interval;
 pub mod simplify;
 pub mod solver;
@@ -87,6 +92,7 @@ pub use expr::{
     retire_arena, ArenaExport, ArenaImportError, ArenaImportStats, ArenaStats, ExportedNode, Expr,
     ExprKind, ExprRef, Model, VarId, VarPool, NUM_SHARDS,
 };
+pub use fingerprint::Fingerprinter;
 pub use interval::{interval_of, Interval};
 pub use solver::{
     import_solver_memo, set_solver_memo_capacity, solver_memo_capacity, solver_memo_lock_waits,
