@@ -202,29 +202,33 @@ fn write_dedup_counts() {
 
 /// A/B overhead gate for the telemetry instrumentation: the same
 /// serial corpus pass (bound 20, dedup on) with the registry disabled
-/// and enabled. Rates use the *minimum* pass time per arm — the
-/// noise-robust estimator — so the <3% gate holds on shared runners.
+/// and enabled. The arms alternate pass by pass, so host speed drift
+/// hits both alike, and rates use the *minimum* pass time per arm —
+/// the noise-robust estimator — so the <3% gate holds on shared
+/// runners.
 fn write_telemetry_overhead() {
     const BOUND: usize = 20;
-    const REPS: usize = 5;
+    // Each pass takes about half a millisecond, as in
+    // `write_dedup_counts`: many cheap reps per arm.
+    const REPS: usize = 21;
     let items = corpus_items(BOUND);
-    // One warm-up pass so neither arm pays first-touch allocation.
-    corpus_pass(&items, BOUND, false, true);
-
-    let time_arm = |enabled: bool| -> (usize, f64) {
+    // One warm-up pass per arm so neither pays first-touch allocation.
+    let mut states = 0usize;
+    for enabled in [false, true] {
         sct_telemetry::set_enabled(enabled);
-        let mut states = 0usize;
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
+        states = corpus_pass(&items, BOUND, false, true).totals.states;
+    }
+    let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        for (enabled, best) in [(false, &mut best_off), (true, &mut best_on)] {
+            sct_telemetry::set_enabled(enabled);
             let start = std::time::Instant::now();
-            states = corpus_pass(&items, BOUND, false, true).totals.states;
-            best = best.min(start.elapsed().as_secs_f64());
+            black_box(corpus_pass(&items, BOUND, false, true).totals.states);
+            *best = best.min(start.elapsed().as_secs_f64());
         }
-        (states, states as f64 / best)
-    };
-    let (states, rate_off) = time_arm(false);
-    let (_, rate_on) = time_arm(true);
+    }
     sct_telemetry::set_enabled(true);
+    let (rate_off, rate_on) = (states as f64 / best_off, states as f64 / best_on);
     let overhead_pct = (rate_off / rate_on - 1.0) * 100.0;
 
     // The instrumented arm's own histograms, as the registry saw them.

@@ -27,8 +27,7 @@ pub struct RunManifest {
     /// (bounds, rep counts, workload names). Two artifacts with equal
     /// `config_hash` measured the same thing.
     pub config_hash: u64,
-    /// The deterministic seed the run used (0 = default victim
-    /// rotation for work-stealing benches; benches without a seeded
+    /// The deterministic seed the run used (benches without a seeded
     /// component pass 0).
     pub seed: u64,
     /// CPUs available to this process when the run started.

@@ -99,34 +99,20 @@ pub fn batch_items() -> Vec<BatchItem> {
 /// [`AnalysisSession`], so all eight builds share the expression arena
 /// and the aggregate statistics cover the whole matrix.
 pub fn run_with_strategy(v1_bound: usize, v4_bound: usize, strategy: StrategyKind) -> Table2 {
-    // threads = 1 is the serial engine, byte-identical by contract.
-    run_parallel(v1_bound, v4_bound, strategy, 1)
-}
-
-/// [`run_with_strategy`] under the default (LIFO) order.
-pub fn run(v1_bound: usize, v4_bound: usize) -> Table2 {
-    run_with_strategy(v1_bound, v4_bound, StrategyKind::Lifo)
-}
-
-/// [`run_with_strategy`] on a multi-threaded frontier: every case
-/// study explored by `threads` workers. Detection symbols must match
-/// the serial table — the parallel-equivalence suite pins it.
-pub fn run_parallel(
-    v1_bound: usize,
-    v4_bound: usize,
-    strategy: StrategyKind,
-    threads: usize,
-) -> Table2 {
     let mut session = AnalysisSession::builder()
         .v1_mode(v1_bound)
         .strategy(strategy)
-        .parallelism(threads)
         .build()
         .expect("uncached session");
     let v1 = session.run_batch(batch_items());
     session.set_options(DetectorOptions::v4_mode(v4_bound));
     let v4 = session.run_batch(batch_items());
     from_batches(&v1, &v4, v1_bound, v4_bound)
+}
+
+/// [`run_with_strategy`] under the default (LIFO) order.
+pub fn run(v1_bound: usize, v4_bound: usize) -> Table2 {
+    run_with_strategy(v1_bound, v4_bound, StrategyKind::Lifo)
 }
 
 /// [`run`], warm-started from (and saved back to) a `sct-cache`

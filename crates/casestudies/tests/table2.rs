@@ -80,32 +80,6 @@ fn case_studies_are_sequentially_constant_time() {
     }
 }
 
-/// The multi-threaded frontier reproduces Table 2 cell for cell: for
-/// every strategy and threads ∈ {2, 4, 8}, the detection matrix equals
-/// the serial one. Worker timing moves *when* each witness is found,
-/// never *whether* — the parallel determinism contract at case-study
-/// scale.
-#[test]
-fn parallel_exploration_reproduces_the_table2_matrix() {
-    use pitchfork::StrategyKind;
-    let baseline = table2::run(V1_BOUND, V4_BOUND);
-    for strategy in StrategyKind::ALL {
-        for threads in [2usize, 4, 8] {
-            let table = table2::run_parallel(V1_BOUND, V4_BOUND, strategy, threads);
-            for (row, base) in table.rows.iter().zip(baseline.rows.iter()) {
-                assert_eq!(
-                    (row.c, row.fact),
-                    (base.c, base.fact),
-                    "{} matrix cell differs at {} threads under `{}`",
-                    row.name,
-                    threads,
-                    strategy.name()
-                );
-            }
-        }
-    }
-}
-
 /// Strategy equivalence on Table 2: the full detection matrix is
 /// identical under every frontier order — the search strategy may
 /// change how fast a witness is found, never whether one is found.

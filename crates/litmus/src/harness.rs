@@ -194,37 +194,23 @@ impl CorpusVerdicts {
 /// per-case detector verdicts (the batch suite test checks exactly
 /// that), but reports corpus-wide statistics.
 pub fn run_corpus_with_strategy(cases: &[LitmusCase], strategy: StrategyKind) -> CorpusVerdicts {
-    // threads = 1 is the serial engine, byte-identical by contract.
-    run_corpus_parallel(cases, strategy, 1)
-}
-
-/// [`run_corpus_with_strategy`] under the default (LIFO) order.
-pub fn run_corpus(cases: &[LitmusCase]) -> CorpusVerdicts {
-    run_corpus_with_strategy(cases, StrategyKind::Lifo)
-}
-
-/// [`run_corpus_with_strategy`] on a multi-threaded frontier: same
-/// batches, same per-case bounds, each exploration worked by `threads`
-/// workers. The parallel-equivalence suite pins this against the
-/// serial run, per case and per mode, for every strategy.
-pub fn run_corpus_parallel(
-    cases: &[LitmusCase],
-    strategy: StrategyKind,
-    threads: usize,
-) -> CorpusVerdicts {
     let items = batch_items(cases);
     // The 16 is a placeholder: every item carries `Some(case.bound)`,
     // which overrides the batch-wide bound per program.
     let mut session = AnalysisSession::builder()
         .v1_mode(16)
         .strategy(strategy)
-        .parallelism(threads)
         .build()
         .expect("uncached session");
     let v1 = session.run_batch(items.clone());
     session.set_options(DetectorOptions::v4_mode(16));
     let v4 = session.run_batch(items);
     CorpusVerdicts { v1, v4 }
+}
+
+/// [`run_corpus_with_strategy`] under the default (LIFO) order.
+pub fn run_corpus(cases: &[LitmusCase]) -> CorpusVerdicts {
+    run_corpus_with_strategy(cases, StrategyKind::Lifo)
 }
 
 /// The symbolic-input coverage comparison: the historical `ra`-only
@@ -382,7 +368,6 @@ pub fn run_corpus_served(
             mode,
             bound: Some(entry.bound),
             strategy: None,
-            threads: 0,
             symbolic: Vec::new(),
             max_states: None,
             deadline_ms: None,

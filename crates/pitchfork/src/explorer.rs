@@ -44,7 +44,7 @@
 //!   for delayed branches, address resolution for delayed stores.
 
 use crate::machine::SymMachine;
-use crate::observe::{BoxObserver, DirectSink, Event, EventSink};
+use crate::observe::{emit, BoxObserver, Event};
 use crate::report::{Report, Violation};
 use crate::state::{SymState, SymStoreAddr, SymTransient};
 use crate::strategy::StrategyKind;
@@ -57,44 +57,29 @@ static STATE_EXPAND_HIST: LazyLock<&'static sct_telemetry::Histogram> =
 
 /// Per-state expansion timing at one clock read per state: each
 /// [`ExpandTimer::stamp`] records the span since the previous stamp
-/// (or [`ExpandTimer::reset`] baseline) into the process-wide
-/// `state_expand_ns` histogram through a thread-owned buffer that
-/// publishes when the timer drops. When telemetry is disabled the
-/// timer is inert and never touches the clock.
-pub(crate) struct ExpandTimer {
+/// into the process-wide `state_expand_ns` histogram through a
+/// thread-owned buffer that publishes when the timer drops. When
+/// telemetry is disabled the timer is inert and never touches the
+/// clock.
+struct ExpandTimer {
     spans: Option<(sct_telemetry::LocalHist, Instant)>,
 }
 
 impl ExpandTimer {
-    pub(crate) fn start() -> ExpandTimer {
+    fn start() -> ExpandTimer {
         ExpandTimer {
             spans: sct_telemetry::enabled()
                 .then(|| (sct_telemetry::LocalHist::new(*STATE_EXPAND_HIST), Instant::now())),
         }
     }
 
-    /// Record one finished expansion; returns the span in nanoseconds
-    /// (0 when telemetry is off).
+    /// Record one finished expansion.
     #[inline]
-    pub(crate) fn stamp(&mut self) -> u64 {
-        match self.spans.as_mut() {
-            Some((hist, last)) => {
-                let now = Instant::now();
-                let ns = sct_telemetry::saturating_ns(now.duration_since(*last));
-                hist.record_ns(ns);
-                *last = now;
-                ns
-            }
-            None => 0,
-        }
-    }
-
-    /// Move the baseline to now without recording (excludes a
-    /// steal/park gap from the next stamp).
-    #[inline]
-    pub(crate) fn reset(&mut self) {
-        if let Some((_, last)) = self.spans.as_mut() {
-            *last = Instant::now();
+    fn stamp(&mut self) {
+        if let Some((hist, last)) = self.spans.as_mut() {
+            let now = Instant::now();
+            hist.record_ns(sct_telemetry::saturating_ns(now.duration_since(*last)));
+            *last = now;
         }
     }
 }
@@ -133,23 +118,6 @@ pub struct ExplorerOptions {
     /// Prune states whose fingerprint was already expanded (on by
     /// default; the bench compares both settings).
     pub dedup_states: bool,
-    /// Worker threads for the frontier. `1` (the default) runs the
-    /// serial engine, byte-identical to every release before parallel
-    /// exploration existed; `n > 1` runs the work-stealing engine of
-    /// [`crate::parallel`] on `n` workers; `0` is **adaptive** — the
-    /// exploration starts serial and hands its frontier to one worker
-    /// per available core only once the frontier grows wide enough to
-    /// feed them (so litmus-sized programs never pay parallel
-    /// overhead, and a 1-core host always stays serial). Verdicts and
-    /// witness *sets* match the serial engine (the determinism
-    /// contract is documented at the crate level); witness *order* and
-    /// event interleaving may differ.
-    pub threads: usize,
-    /// Seed rotating the work-stealing victim order (see
-    /// [`crate::parallel`]). Affects steal timing only, never results —
-    /// the equivalence proptest varies it to hammer steal/terminate
-    /// races. Leave 0 unless stress-testing.
-    pub steal_seed: u64,
     /// State-expansion budget; exploration truncates beyond it.
     pub max_states: usize,
     /// Stop extending a path once it has produced a violation.
@@ -169,23 +137,6 @@ pub struct ExplorerOptions {
     pub deadline_ms: Option<u64>,
 }
 
-impl ExplorerOptions {
-    /// The worker count [`ExplorerOptions::threads`] denotes: `0`
-    /// resolves to the machine's available parallelism (1 when that
-    /// cannot be determined), anything else is taken literally. For
-    /// `threads == 0` this is the pool size the *adaptive* engine
-    /// hands over to if the frontier ever grows wide enough — the
-    /// exploration itself may stay serial throughout.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-}
-
 impl Default for ExplorerOptions {
     fn default() -> Self {
         ExplorerOptions {
@@ -196,8 +147,6 @@ impl Default for ExplorerOptions {
             jmpi_mistraining: false,
             jmpi_target_cap: 32,
             dedup_states: true,
-            threads: 1,
-            steal_seed: 0,
             max_states: 50_000,
             stop_path_on_violation: true,
             max_violations: 64,
@@ -209,7 +158,7 @@ impl Default for ExplorerOptions {
 /// A continuation: a micro-sequence of directives plus a successor
 /// filter implementing Definition B.18's branch-schedule pairing.
 #[derive(Clone, Debug)]
-pub(crate) enum Cont {
+enum Cont {
     /// Apply all directives, keep all successors.
     Seq(Vec<Directive>),
     /// Apply all directives, keep only successors whose final step did
@@ -228,26 +177,14 @@ impl Cont {
     }
 }
 
-/// Floor on the adaptive spill width: even on a 2-core host the
-/// frontier must be this wide before the pool is worth waking.
-const SPILL_WIDTH_MIN: usize = 32;
-
-/// What [`Explorer::explore_serial_core`] ended with: a finished
-/// report, or (adaptive mode) a frontier wide enough to hand to the
-/// parallel engine.
-enum SerialOutcome {
-    Done(Report),
-    Spill(crate::parallel::ParallelSeed),
-}
-
 /// The worst-case schedule explorer.
 pub struct Explorer<'p> {
-    pub(crate) machine: SymMachine<'p>,
-    pub(crate) options: ExplorerOptions,
+    machine: SymMachine<'p>,
+    options: ExplorerOptions,
     /// Cooperative cancellation flag (daemon `Cancel` requests): the
     /// state loop polls it and stops early with `truncated` set, the
     /// same early-exit shape as an exhausted state budget.
-    pub(crate) cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
 impl<'p> Explorer<'p> {
@@ -270,7 +207,7 @@ impl<'p> Explorer<'p> {
     }
 
     /// Attach a cooperative cancellation flag: once it reads `true`,
-    /// the exploration (serial or work-stealing) stops at the next
+    /// the exploration stops at the next
     /// state-loop iteration and returns a truncated partial report.
     pub fn with_cancel(mut self, cancel: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
         self.cancel = Some(cancel);
@@ -278,7 +215,7 @@ impl<'p> Explorer<'p> {
     }
 
     /// `true` once an attached cancellation flag has been raised.
-    pub(crate) fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.cancel
             .as_ref()
             .is_some_and(|c| c.load(std::sync::atomic::Ordering::Acquire))
@@ -287,7 +224,7 @@ impl<'p> Explorer<'p> {
     /// The wall-clock cut-off implied by
     /// [`ExplorerOptions::deadline_ms`], anchored at the instant of
     /// this call (exploration start); `None` when no deadline is set.
-    pub(crate) fn deadline_from_now(&self) -> Option<Instant> {
+    fn deadline_from_now(&self) -> Option<Instant> {
         self.options
             .deadline_ms
             .map(|ms| Instant::now() + std::time::Duration::from_millis(ms))
@@ -307,67 +244,9 @@ impl<'p> Explorer<'p> {
 
     /// [`Explorer::explore`], streaming [`Event`]s (state expansions,
     /// violations) to `observers` as they happen.
-    ///
-    /// With [`ExplorerOptions::threads`] at its default of 1 this is
-    /// the serial worklist engine; above 1 the frontier is worked by
-    /// the work-stealing pool (see [`crate::parallel`]) with the same
-    /// verdict and witness-set semantics; 0 is adaptive — serial until
-    /// the frontier is wide enough to feed one worker per core, then
-    /// the frontier, visited set, and partial stats are handed to the
-    /// pool mid-exploration.
-    pub fn explore_observed(
-        &self,
-        initial: SymState,
-        observers: &mut [BoxObserver],
-    ) -> Report {
-        match self.options.threads {
-            1 => match self.explore_serial_core(initial, observers, None) {
-                SerialOutcome::Done(report) => report,
-                SerialOutcome::Spill(..) => unreachable!("no spill threshold given"),
-            },
-            0 => {
-                let cores = self.options.effective_threads();
-                if cores <= 1 {
-                    return match self.explore_serial_core(initial, observers, None) {
-                        SerialOutcome::Done(report) => report,
-                        SerialOutcome::Spill(..) => unreachable!("no spill threshold given"),
-                    };
-                }
-                // Serial until the frontier could feed every core a
-                // few states each; small programs finish before then
-                // and never pay for the pool.
-                let spill_at = (cores * 4).max(SPILL_WIDTH_MIN);
-                match self.explore_serial_core(initial, observers, Some(spill_at)) {
-                    SerialOutcome::Done(report) => report,
-                    SerialOutcome::Spill(seed) => {
-                        crate::parallel::explore_parallel(self, seed, observers, cores)
-                    }
-                }
-            }
-            threads => crate::parallel::explore_parallel(
-                self,
-                crate::parallel::ParallelSeed::fresh(self, initial),
-                observers,
-                threads,
-            ),
-        }
-    }
-
-    /// The serial worklist engine. With `spill_at` set (the adaptive
-    /// path), the loop stops as soon as the frontier reaches that
-    /// width and returns everything a parallel continuation needs;
-    /// stats accumulated so far (including this thread's exact
-    /// lock-wait and cache-hit deltas) travel along in the seed's base
-    /// report, and the parallel merge adds its own on top.
-    fn explore_serial_core(
-        &self,
-        initial: SymState,
-        observers: &mut [BoxObserver],
-        spill_at: Option<usize>,
-    ) -> SerialOutcome {
+    pub fn explore_observed(&self, initial: SymState, observers: &mut [BoxObserver]) -> Report {
         let memo_before = sct_symx::solver_memo_stats();
         let tls_before = sct_symx::thread_stats();
-        let mut sink = DirectSink(observers);
         let mut report = Report::default();
         report.stats.strategy = self.options.strategy.name();
         let dedup = self.options.dedup_states;
@@ -381,7 +260,6 @@ impl<'p> Explorer<'p> {
         }
         let mut frontier = self.options.strategy.frontier();
         frontier.push(initial);
-        let mut spilled = false;
         let deadline = self.deadline_from_now();
         let mut expand_timer = ExpandTimer::start();
         while let Some(state) = frontier.pop() {
@@ -398,11 +276,14 @@ impl<'p> Explorer<'p> {
                 break;
             }
             report.stats.states += 1;
-            sink.emit(Event::StateExpanded {
-                states: report.stats.states,
-                frontier: frontier.len(),
-                state: &state,
-            });
+            emit(
+                observers,
+                Event::StateExpanded {
+                    states: report.stats.states,
+                    frontier: frontier.len(),
+                    state: &state,
+                },
+            );
             let conts = self.continuations(&state);
             if conts.is_empty() {
                 report.stats.schedules += 1;
@@ -410,7 +291,7 @@ impl<'p> Explorer<'p> {
                 continue;
             }
             for cont in conts {
-                for succ in self.apply(&state, &cont, &mut report, &mut sink) {
+                for succ in self.apply(&state, &cont, &mut report, observers) {
                     if dedup && !visited.insert(succ.fingerprint()) {
                         report.stats.deduped += 1;
                         continue;
@@ -420,10 +301,6 @@ impl<'p> Explorer<'p> {
             }
             report.stats.frontier_peak = report.stats.frontier_peak.max(frontier.len());
             expand_timer.stamp();
-            if spill_at.is_some_and(|w| frontier.len() >= w) {
-                spilled = true;
-                break;
-            }
         }
         let memo_after = sct_symx::solver_memo_stats();
         report.stats.solver_queries = (memo_after.queries - memo_before.queries) as usize;
@@ -434,31 +311,17 @@ impl<'p> Explorer<'p> {
         report.stats.memo_lock_waits = tls.memo_lock_waits as usize;
         report.stats.arena_lock_waits = tls.arena_lock_waits as usize;
         report.stats.local_cache_hits = tls.local_cache_hits() as usize;
-        if !spilled {
-            return SerialOutcome::Done(report);
-        }
-        let mut initials = Vec::with_capacity(frontier.len());
-        while let Some(state) = frontier.pop() {
-            initials.push(state);
-        }
-        SerialOutcome::Spill(crate::parallel::ParallelSeed {
-            initials,
-            visited,
-            base: report,
-            deadline,
-        })
+        report
     }
 
     /// Apply a continuation, checking each step's new observations for
-    /// secret labels. Generic over the event sink so the serial and
-    /// parallel engines share one implementation of the step/violation
-    /// plumbing.
-    pub(crate) fn apply<S: EventSink>(
+    /// secret labels.
+    fn apply(
         &self,
         state: &SymState,
         cont: &Cont,
         report: &mut Report,
-        sink: &mut S,
+        observers: &mut [BoxObserver],
     ) -> Vec<SymState> {
         let directives = cont.directives();
         let mut frontier = Vec::new();
@@ -519,10 +382,13 @@ impl<'p> Explorer<'p> {
                             .stats
                             .first_witness_depth
                             .get_or_insert(violation.schedule.len());
-                        sink.emit(Event::ViolationFound {
-                            violation: &violation,
-                            states: report.stats.states,
-                        });
+                        emit(
+                            observers,
+                            Event::ViolationFound {
+                                violation: &violation,
+                                states: report.stats.states,
+                            },
+                        );
                         report.violations.push(violation);
                         if self.options.stop_path_on_violation {
                             report.stats.schedules += 1;
@@ -538,7 +404,7 @@ impl<'p> Explorer<'p> {
     }
 
     /// The Definition B.18 continuations available in `state`.
-    pub(crate) fn continuations(&self, state: &SymState) -> Vec<Cont> {
+    fn continuations(&self, state: &SymState) -> Vec<Cont> {
         let fetchable = self.machine.program.fetch(state.pc).is_some();
         if fetchable {
             let instr = self.machine.program.fetch(state.pc).expect("checked");

@@ -21,8 +21,7 @@
 //!   `failed`, e.g. an assemble error) is terminal without retry —
 //!   it would fail identically everywhere.
 //! * **Determinism.** Workers run entries with the caller's
-//!   [`JobSpec`] verbatim; with the default serial per-job threads the
-//!   merged [`EntryOutcome::line`]s are byte-identical to a
+//!   [`JobSpec`] verbatim, and the merged [`EntryOutcome::line`]s are byte-identical to a
 //!   single-process batch over the same manifest (the fleet-smoke CI
 //!   leg diffs them), whatever the sharding.
 //!
@@ -62,7 +61,7 @@ pub struct FleetOptions {
     /// first entry (warm start). `None` = cold workers.
     pub seed: Option<Vec<u8>>,
     /// The job spec every entry is submitted with (mode, bound,
-    /// strategy, per-job threads, symbolic registers, state budget).
+    /// strategy, symbolic registers, state budget).
     pub spec: JobSpec,
     /// Submission attempts per entry before it is recorded as failed
     /// (first try included). Minimum 1.

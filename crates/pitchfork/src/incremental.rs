@@ -145,9 +145,9 @@ pub fn block_hashes(program: &Program) -> Vec<(Pc, u64)> {
 
 /// Hash the parts of the analysis configuration that can change a
 /// verdict: bound, mode flags, budgets, strategy, machine parameters,
-/// and the symbolized-register set. Worker-thread count and the
-/// steal-timing seed are deliberately excluded — they never change
-/// verdicts (the parallel engine's determinism contract).
+/// and the symbolized-register set. The wall-clock deadline is
+/// deliberately excluded: it bounds how long an answer may take, not
+/// what the answer is.
 pub fn config_tag(options: &DetectorOptions, bound: usize, symbolic: &[Reg]) -> u64 {
     let e = &options.explorer;
     let mut h = Fnv::new();
@@ -683,10 +683,14 @@ out:
             config_tag(&v1, 16, &[]),
             config_tag(&v1, 16, &[sct_core::reg::names::RA]),
         );
-        // Thread count must NOT move the fingerprint.
-        let mut threaded = v1;
-        threaded.explorer.threads = 8;
-        assert_eq!(config_tag(&v1, 16, &[]), config_tag(&threaded, 16, &[]));
+        // Pinned values: a changed tag silently sends every stored
+        // baseline to a cold re-analysis, so removing or adding an
+        // option that cannot change a verdict must leave these alone.
+        assert_eq!(config_tag(&v1, 16, &[]), 0xac46_e766_11fc_e437);
+        assert_eq!(
+            config_tag(&DetectorOptions::v4_mode(20), 20, &[]),
+            0x968b_80a2_90de_c152
+        );
     }
 
     #[test]

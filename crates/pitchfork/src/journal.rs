@@ -57,7 +57,7 @@ pub struct ReplayJob {
     pub name: String,
     /// Assembly source text.
     pub source: String,
-    /// The full job spec (mode, bound, strategy, threads, budget,
+    /// The full job spec (mode, bound, strategy, budget,
     /// deadline, symbolic registers).
     pub spec: JobSpec,
     /// Baseline for diff-aware submissions, when the original carried
@@ -246,7 +246,6 @@ mod tests {
             mode: JobMode::V1,
             bound: Some(12),
             strategy: None,
-            threads: 0,
             max_states: Some(5_000),
             deadline_ms: Some(30_000),
             symbolic: vec![sct_core::reg::names::RA],

@@ -141,12 +141,10 @@
 //! **fingerprint** ([`incremental::entry_fingerprint`]): a hash of its
 //! basic-block partition ([`incremental::block_hashes`]) combined with
 //! a [`incremental::config_tag`] over every option that can change a
-//! verdict — bound, mode, strategy, budgets, symbolized registers —
-//! and deliberately *excluding* `threads` and `steal_seed`, which the
-//! determinism contract guarantees never do. A passing run persists a
-//! [`BaselineManifest`] (one line-JSON record per entry: fingerprint,
-//! verdict, report line, exploration stats) next to a
-//! **reachability-pruned** cache snapshot
+//! verdict — bound, mode, strategy, budgets, symbolized registers. A
+//! passing run persists a [`BaselineManifest`] (one line-JSON record
+//! per entry: fingerprint, verdict, report line, exploration stats)
+//! next to a **reachability-pruned** cache snapshot
 //! (`sct_cache::save_rooted` keeps only arena nodes reachable from
 //! the memoized verdicts, so a months-old baseline doesn't ship every
 //! dead expression ever interned; the pruned-vs-unpruned equivalence
@@ -184,86 +182,24 @@
 //! N seconds and renders only what moved
 //! ([`sct_telemetry::render_delta`]).
 //!
-//! # Parallel exploration
+//! # Concurrency and determinism
 //!
-//! Exploration is embarrassingly parallel at the state level: each
-//! frontier state expands independently, and everything shared — the
-//! hash-consing expression arena, the solver-verdict memo, the
-//! fingerprint visited set — is lock-striped, with a thread-local L1
-//! cache in front of the arena and memo so hot-path hits touch no
-//! shared lock at all ([`ExploreStats::local_cache_hits`] counts
-//! them). Opt in with [`SessionBuilder::parallelism`] (CLI
-//! `--threads N`), per job with [`service::JobSpec::threads`], and at
-//! the daemon level with `--serve ... --jobs K`, which runs K whole
-//! jobs concurrently against the shared arena. Worker threads come
-//! from a persistent process-wide pool, so even sub-millisecond
-//! explorations pay a condvar wake, not a thread spawn.
+//! Each program is explored by one serial worklist engine, on the
+//! thread that asked for it. Parallelism exists only *across*
+//! programs: `--serve ... --jobs K` runs K whole jobs concurrently
+//! against the shared expression arena and solver memo, and
+//! `pitchfork coordinate` shards a corpus across daemons. Those shared
+//! structures are lock-striped, with a thread-local L1 cache in front
+//! so hot-path hits touch no shared lock
+//! ([`ExploreStats::local_cache_hits`] counts them).
 //!
-//! **The work-stealing engine.** `threads > 1` gives every worker its
-//! own private frontier — an instance of the session's
-//! [`SearchStrategy`], pushed and popped with no lock — plus a small
-//! mutex-guarded *donation buffer* touched only during rebalancing.
-//! When a worker runs dry it sweeps the buffers (its own first, then
-//! the other workers in a per-worker pseudo-random rotation) and takes
-//! a whole batch in one lock acquisition; owners with surplus donate
-//! half their frontier (capped) the moment any peer goes hungry.
-//! Balanced phases therefore run entirely lock-free on the hot path;
-//! the old single mutex-guarded global frontier is gone. Termination
-//! is an in-flight state counter — enqueued states count up, finished
-//! expansions count down, zero means done — so idle workers park on a
-//! condvar and are woken by the next donation. [`ExploreStats::steals`]
-//! and [`ExploreStats::steal_fails`] make the rebalancing traffic
-//! observable, and [`ExplorerOptions::steal_seed`] perturbs victim
-//! order for race-hunting without ever changing results.
-//!
-//! **Adaptive `--threads 0`.** Zero means *adaptive*: exploration
-//! starts on the serial engine and hands the frontier over to one
-//! worker per core only if it grows wide enough to pay for the
-//! coordination (a few states per core). Litmus-sized programs finish
-//! serially at full serial speed; deep v4 explorations spill and use
-//! the machine. On a single-core host the engine never spills.
-//!
-//! **Determinism contract.** `threads = 1` (the default) is the serial
-//! engine, byte-for-byte identical to previous releases. For
-//! `threads > 1`, with deduplication on and no truncation, the engine
-//! expands exactly the serial engine's distinct-state set whatever the
-//! steal timing, so the **verdict**, the **witness multiset** (every
-//! violation's (pc, observation) pair with its multiplicity), and the
-//! order-insensitive statistics (`states`, `steps`, `deduped`) are
-//! identical to serial mode — the work-stealing-equivalence suite pins
-//! this over the litmus corpus and Table 2 for every strategy at 2/4/8
-//! threads, and a property test hammers the steal/terminate races
-//! under randomized victim order.
-//! What may differ: which witness is found *first* (`first_witness_*`
-//! record whichever a worker reached first; merged violation lists are
-//! sorted canonically), event interleaving, the **schedule prefix**
-//! naming a witness whose state is reachable along several schedules
-//! (which duplicate wins the visited-set insert is timing-dependent —
-//! the leak's location and observation never are), and — under a
-//! `max_states` / `max_violations` truncation — the explored prefix,
-//! exactly as it already differs across strategies.
-//! The corpus is *not* free of such reconvergent witnesses:
-//! `kocher_15` reaches its `(pc 6, read 0xb6sec)` leak along two
-//! schedule prefixes, so the corpus suite that compares full
-//! `(pc, schedule, observation)` witness sets between the engines
-//! (`parallel_witness_sets_match_serial`) fails intermittently on
-//! multi-core hosts. Canonical schedules need the least
-//! `(parent fingerprint, directive)` edge kept per visited state and
-//! witnesses rebuilt from those links, an open ROADMAP item that the
-//! per-state parent links of the path history prepare for.
-//! Each worker pops its own frontier in strategy order; *globally* the
-//! [`SearchStrategy`] acts as a priority hint, since which states a
-//! worker owns depends on donation timing.
-//!
-//! **When to use it.** Parallelism pays on deep explorations (big
-//! programs, high bounds, v4/alias modes) and on multi-core hosts;
-//! contention is visible without a profiler via
-//! [`ExploreStats::arena_lock_waits`] / `memo_lock_waits` (summed
-//! exactly over the exploration's workers) and the daemon's `Stats`
-//! response. Single large-batch workloads on few cores are often
-//! better served by `--jobs` (parallelism *across* programs) than
-//! `--threads` (parallelism *within* one) — or by `--threads 0`,
-//! which makes the call per exploration.
+//! Because no exploration is split across threads, a program's output
+//! — verdict, witness list in order (program point, schedule,
+//! observation), and the `states` / `steps` / `deduped` / `schedules`
+//! / `first_witness_*` statistics — is byte-identical whatever the
+//! thread count, core count or job interleaving. The litmus `served`
+//! suite pins this for the corpus run through concurrent daemon
+//! workers against a serial batch.
 //!
 //! # Observability
 //!
@@ -284,13 +220,9 @@
 //! | `solver_check_hit_ns` | histogram | satisfiability checks answered by the memo (L1 or stripe) |
 //! | `solver_check_miss_ns` | histogram | checks that fell through to the decision procedure |
 //! | `state_expand_ns` | histogram | one frontier-state expansion in the explorer |
-//! | `steal_attempt_ns` | histogram | one work-stealing sweep in the parallel engine |
 //! | `job_queue_wait_ns` | histogram | daemon job: submission → dequeue |
 //! | `job_run_ns` | histogram | daemon job: dequeue → verdict |
 //! | `job_events_dropped` | counter | events evicted by per-job retention caps |
-//! | `worker_busy_ns{worker="i"}` | counter | per-worker time spent expanding states |
-//! | `worker_steal_ns{worker="i"}` | counter | per-worker time spent rebalancing |
-//! | `worker_parked_ns{worker="i"}` | counter | per-worker time parked on the idle condvar |
 //! | `seed_nodes_added` | counter | arena nodes imported from `seed` warm-start snapshots |
 //! | `seed_verdicts_imported` | counter | memoised verdicts imported from `seed` snapshots |
 //! | `fleet_dispatch_total{worker="i"}` | counter | coordinator: shards dispatched to worker i |
@@ -348,10 +280,8 @@
 //!
 //! * **Per-job deadlines.** [`service::JobSpec::deadline_ms`] (CLI
 //!   `--deadline-ms N` on `submit`, `ci-gate`, and `coordinate`) bounds
-//!   a job's wall-clock exploration. Both engines check the deadline
-//!   cooperatively — the serial engine per frontier pop, the parallel
-//!   engine at each budget claim, with the anchor carried across the
-//!   adaptive serial→parallel spill — so an expired job stops at a
+//!   a job's wall-clock exploration. The explorer checks the deadline
+//!   cooperatively at every frontier pop, so an expired job stops at a
 //!   state boundary with its partial [`ExploreStats`]
 //!   (`deadline_exceeded = true` implies `truncated = true`). Its
 //!   status becomes [`service::JobStatus::TimedOut`] and its verdict is
@@ -433,6 +363,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod client;
@@ -443,7 +374,6 @@ pub mod incremental;
 pub mod journal;
 pub mod machine;
 pub mod observe;
-pub mod parallel;
 pub mod protocol;
 pub mod repair;
 pub mod report;

@@ -54,7 +54,6 @@ struct Cli {
     bound: usize,
     fwd_hazards: bool,
     strategy: StrategyKind,
-    threads: usize,
     symbolic: Vec<Reg>,
     verbose: bool,
     cache: Option<String>,
@@ -64,21 +63,21 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pitchfork [--bound N] [--fwd-hazards] [--strategy NAME] [--threads N] [--symbolic ra,rb] [--verbose] [--cache PATH] [--trace PATH] FILE..."
+        "usage: pitchfork [--bound N] [--fwd-hazards] [--strategy NAME] [--symbolic ra,rb] [--verbose] [--cache PATH] [--trace PATH] FILE..."
     );
     eprintln!("       pitchfork --serve SOCK [--listen HOST:PORT] [--token T] [--client-quota N]");
     eprintln!("                 [--cache PATH] [--journal PATH] [--bound N] [--strategy NAME]");
-    eprintln!("                 [--threads N] [--jobs K] [--retire-every N] [--retire-nodes N]");
+    eprintln!("                 [--jobs K] [--retire-every N] [--retire-nodes N]");
     eprintln!("                 [--memo-capacity N] [--trace PATH]");
     eprintln!("       pitchfork submit --connect SOCK [--token T] [--mode v1|v4|alias|v2]");
-    eprintln!("                 [--bound N] [--strategy NAME] [--threads N] [--symbolic ra,rb]");
+    eprintln!("                 [--bound N] [--strategy NAME] [--symbolic ra,rb]");
     eprintln!("                 [--max-states N] [--deadline-ms N] [--verbose] FILE...");
     eprintln!("       pitchfork status|events|cancel --connect SOCK --job ID");
     eprintln!("       pitchfork stats|retire|shutdown --connect SOCK");
     eprintln!("       pitchfork metrics --connect SOCK [--watch SECONDS]");
     eprintln!("       pitchfork ci-gate --baseline DIR [--connect SOCK] [--mode M]");
-    eprintln!("                 [--bound N] [--strategy NAME] [--threads N]");
-    eprintln!("                 [--symbolic ra,rb] [--max-states N] [--deadline-ms N] FILE...");
+    eprintln!("                 [--bound N] [--strategy NAME] [--symbolic ra,rb]");
+    eprintln!("                 [--max-states N] [--deadline-ms N] FILE...");
     eprintln!("       pitchfork coordinate --worker ADDR [--worker ADDR ...] [--token T]");
     eprintln!("                 [--seed CACHE] [--mode M] [--bound N] [--strategy NAME]");
     eprintln!("                 [--symbolic ra,rb] [--max-states N] [--deadline-ms N]");
@@ -91,11 +90,6 @@ fn usage() -> ! {
     eprintln!("  --strategy NAME  frontier order: lifo (default), fifo, deepest-rob,");
     eprintln!("                   violation-likely — same verdicts, different");
     eprintln!("                   states-to-first-witness");
-    eprintln!("  --threads N      worker threads per exploration (default 1 = serial;");
-    eprintln!("                   0 = adaptive: start serial, spill to one worker per");
-    eprintln!("                   core only if the frontier grows wide enough to pay");
-    eprintln!("                   for it). Verdicts, witness sets, and state counts");
-    eprintln!("                   always match serial mode exactly");
     eprintln!("  --symbolic LIST  treat these registers as symbolic inputs");
     eprintln!("  --verbose        print schedules and traces for each violation");
     eprintln!("  --cache PATH     warm-start the expression arena and solver memo");
@@ -104,7 +98,7 @@ fn usage() -> ! {
     eprintln!("                   violations, epoch retirements) to PATH");
     eprintln!();
     eprintln!("The metrics verb scrapes the daemon's telemetry registry (latency");
-    eprintln!("histograms, per-worker utilization, job queue-wait/run totals) in");
+    eprintln!("histograms, job queue-wait/run totals) in");
     eprintln!("Prometheus text exposition format; --watch N re-scrapes every N");
     eprintln!("seconds and prints only what moved. Set SCT_TELEMETRY=0 to disable");
     eprintln!("metric collection entirely.");
@@ -120,9 +114,9 @@ fn usage() -> ! {
     eprintln!("Daemon mode (--serve) keeps one session resident: submissions share the");
     eprintln!("hash-consed arena and solver memo across clients, and the epoch-retire");
     eprintln!("policy (--retire-every jobs / --retire-nodes arena nodes) snapshots and");
-    eprintln!("warm-starts without restarting the process. --threads sets the default");
-    eprintln!("per-job parallelism (submit --threads overrides per job); --jobs K runs");
-    eprintln!("up to K jobs concurrently against the shared sharded arena.");
+    eprintln!("warm-starts without restarting the process. Each program is explored on");
+    eprintln!("one thread; --jobs K runs up to K jobs concurrently against the shared");
+    eprintln!("sharded arena, and every verdict is byte-identical whatever K is.");
     eprintln!();
     eprintln!("Fleet mode: --listen puts the daemon on TCP (same protocol, same verdict");
     eprintln!("bytes), --token requires clients to authenticate with an opening hello,");
@@ -146,7 +140,6 @@ fn parse_args(args: Vec<String>) -> Cli {
         bound: 20,
         fwd_hazards: false,
         strategy: StrategyKind::Lifo,
-        threads: 1,
         symbolic: Vec::new(),
         verbose: false,
         cache: None,
@@ -159,10 +152,6 @@ fn parse_args(args: Vec<String>) -> Cli {
             "--bound" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 cli.bound = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cli.threads = v.parse().unwrap_or_else(|_| usage());
             }
             "--fwd-hazards" => cli.fwd_hazards = true,
             "--strategy" => {
@@ -217,7 +206,6 @@ fn build_session(
     bound: usize,
     fwd_hazards: bool,
     strategy: StrategyKind,
-    threads: usize,
     symbolic: &[Reg],
     cache: Option<&str>,
 ) -> AnalysisSession {
@@ -225,7 +213,6 @@ fn build_session(
         let mut b = SessionBuilder::new()
             .bound(bound)
             .strategy(strategy)
-            .parallelism(threads)
             .symbolize(symbolic.iter().copied());
         if fwd_hazards {
             b = b.v4_mode(bound);
@@ -316,7 +303,6 @@ fn run_oneshot(args: Vec<String>) -> ExitCode {
         cli.bound,
         cli.fwd_hazards,
         cli.strategy,
-        cli.threads,
         &cli.symbolic,
         cli.cache.as_deref(),
     );
@@ -418,7 +404,6 @@ fn run_serve(args: Vec<String>) -> ExitCode {
     let mut cache: Option<String> = None;
     let mut bound = 20usize;
     let mut strategy = StrategyKind::Lifo;
-    let mut threads = 1usize;
     let mut jobs = 1usize;
     let mut trace: Option<String> = None;
     let mut policy = RetirePolicy::never();
@@ -442,12 +427,6 @@ fn run_serve(args: Vec<String>) -> ExitCode {
             }
             "--bound" => {
                 bound = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -495,7 +474,7 @@ fn run_serve(args: Vec<String>) -> ExitCode {
         (None, Some(path)) => pitchfork::transport::Endpoint::Unix(path.into()),
         (None, None) => usage(),
     };
-    let session = build_session(bound, false, strategy, threads, &[], cache.as_deref());
+    let session = build_session(bound, false, strategy, &[], cache.as_deref());
     let service = SessionService::with_policy(session, policy);
     if let Some(path) = &trace {
         if let Some(writer) = open_trace(path, "serve", bound, strategy) {
@@ -511,7 +490,7 @@ fn run_serve(args: Vec<String>) -> ExitCode {
             }
         };
     println!(
-        "serving on {} (bound {bound}, strategy {strategy}, threads {threads}, jobs {jobs})",
+        "serving on {} (bound {bound}, strategy {strategy}, jobs {jobs})",
         server.local_addr()
     );
     server.wait();
@@ -528,7 +507,6 @@ struct ClientArgs {
     mode: JobMode,
     bound: Option<usize>,
     strategy: Option<StrategyKind>,
-    threads: usize,
     max_states: Option<usize>,
     deadline_ms: Option<u64>,
     symbolic: Vec<Reg>,
@@ -553,7 +531,6 @@ fn parse_client_args(args: Vec<String>) -> ClientArgs {
         mode: JobMode::V1,
         bound: None,
         strategy: None,
-        threads: 0,
         max_states: None,
         deadline_ms: None,
         symbolic: Vec::new(),
@@ -631,12 +608,6 @@ fn parse_client_args(args: Vec<String>) -> ClientArgs {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage()),
                 )
-            }
-            "--threads" => {
-                out.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
             }
             "--strategy" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -788,7 +759,6 @@ fn run_submit(args: Vec<String>) -> ExitCode {
         mode: args.mode,
         bound: args.bound,
         strategy: args.strategy,
-        threads: args.threads,
         symbolic: args.symbolic.clone(),
         max_states: args.max_states,
         deadline_ms: args.deadline_ms,
@@ -1097,9 +1067,6 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
     if let Some(s) = args.strategy {
         options.explorer.strategy = s;
     }
-    if args.threads > 0 {
-        options.explorer.threads = args.threads;
-    }
     if let Some(ms) = args.max_states {
         options.explorer.max_states = ms;
     }
@@ -1217,9 +1184,6 @@ fn run_ci_gate_remote(
     if let Some(s) = args.strategy {
         options.explorer.strategy = s;
     }
-    if args.threads > 0 {
-        options.explorer.threads = args.threads;
-    }
     if let Some(ms) = args.max_states {
         options.explorer.max_states = ms;
     }
@@ -1228,7 +1192,6 @@ fn run_ci_gate_remote(
         mode: args.mode,
         bound: args.bound,
         strategy: args.strategy,
-        threads: args.threads,
         symbolic: args.symbolic.clone(),
         max_states: args.max_states,
         deadline_ms: args.deadline_ms,
@@ -1401,7 +1364,6 @@ fn run_coordinate(args: Vec<String>) -> ExitCode {
             mode: args.mode,
             bound: args.bound,
             strategy: args.strategy,
-            threads: args.threads,
             symbolic: args.symbolic.clone(),
             max_states: args.max_states,
             deadline_ms: args.deadline_ms,

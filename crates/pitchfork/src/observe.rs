@@ -199,39 +199,6 @@ pub(crate) fn emit(observers: &mut [BoxObserver], event: Event<'_>) {
     }
 }
 
-/// Where an exploration delivers its events: directly into the
-/// observer slice (the serial engine) or through a mutex shared by
-/// worker threads (the parallel engine). The indirection keeps the
-/// expansion/violation plumbing identical in both engines.
-pub(crate) trait EventSink {
-    /// Deliver one event.
-    fn emit(&mut self, event: Event<'_>);
-}
-
-/// The serial engine's sink: no locking, same call path as before the
-/// parallel engine existed.
-pub(crate) struct DirectSink<'a>(pub &'a mut [BoxObserver]);
-
-impl EventSink for DirectSink<'_> {
-    fn emit(&mut self, event: Event<'_>) {
-        emit(self.0, event);
-    }
-}
-
-/// The parallel engine's sink: worker threads serialize on the mutex
-/// only for the duration of one observer fan-out.
-pub(crate) struct SharedSink<'a, 'b>(pub &'a std::sync::Mutex<&'b mut [BoxObserver]>);
-
-impl EventSink for SharedSink<'_, '_> {
-    fn emit(&mut self, event: Event<'_>) {
-        let mut guard = self
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        emit(&mut guard, event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -675,9 +675,6 @@ impl Request {
                     mode,
                     bound: json.opt_u64_field("bound")?.map(|b| b as usize),
                     strategy,
-                    // 0 (or absent, for older clients) inherits the
-                    // daemon session's parallelism.
-                    threads: json.opt_u64_field("threads")?.unwrap_or(0) as usize,
                     // Absent (pre-v5 clients) inherits the daemon's
                     // state budget.
                     max_states: json.opt_u64_field("max_states")?.map(|n| n as usize),
@@ -724,9 +721,6 @@ fn submit_fields(name: &str, source: &str, spec: &JobSpec) -> Vec<(String, Json)
     }
     if let Some(s) = spec.strategy {
         fields.push(("strategy".into(), Json::Str(s.name().into())));
-    }
-    if spec.threads != 0 {
-        fields.push(("threads".into(), Json::Int(spec.threads as i128)));
     }
     if let Some(ms) = spec.max_states {
         fields.push(("max_states".into(), Json::Int(ms as i128)));
@@ -958,7 +952,6 @@ fn explore_stats_to_json(s: &ExploreStats) -> Json {
             "solver_memo_evicted".into(),
             Json::Int(s.solver_memo_evicted as i128),
         ),
-        ("threads".into(), Json::Int(s.threads as i128)),
         (
             "arena_lock_waits".into(),
             Json::Int(s.arena_lock_waits as i128),
@@ -967,8 +960,6 @@ fn explore_stats_to_json(s: &ExploreStats) -> Json {
             "memo_lock_waits".into(),
             Json::Int(s.memo_lock_waits as i128),
         ),
-        ("steals".into(), Json::Int(s.steals as i128)),
-        ("steal_fails".into(), Json::Int(s.steal_fails as i128)),
         (
             "local_cache_hits".into(),
             Json::Int(s.local_cache_hits as i128),
@@ -1003,12 +994,9 @@ fn explore_stats_from_json(json: &Json) -> Result<ExploreStats, ProtocolError> {
         solver_memo_misses: json.u64_field("solver_memo_misses")? as usize,
         solver_memo_evicted: json.u64_field("solver_memo_evicted")? as usize,
         // Added after the v1 wire format: tolerate their absence (an
-        // older daemon) and default to the serial engine's values.
-        threads: json.opt_u64_field("threads")?.unwrap_or(1) as usize,
+        // older daemon).
         arena_lock_waits: json.opt_u64_field("arena_lock_waits")?.unwrap_or(0) as usize,
         memo_lock_waits: json.opt_u64_field("memo_lock_waits")?.unwrap_or(0) as usize,
-        steals: json.opt_u64_field("steals")?.unwrap_or(0) as usize,
-        steal_fails: json.opt_u64_field("steal_fails")?.unwrap_or(0) as usize,
         local_cache_hits: json.opt_u64_field("local_cache_hits")?.unwrap_or(0) as usize,
         truncated: json.bool_field("truncated")?,
         // Post-deadline wire format: absent from older daemons.
@@ -1133,10 +1121,9 @@ const SERVICE_STAT_FIELDS: [&str; 16] = [
 /// Fields added with concurrent job execution (parse defaults to 0).
 const SERVICE_STAT_FIELDS_V2: [&str; 3] = ["in_flight", "arena_lock_waits", "memo_lock_waits"];
 
-/// Fields added with the work-stealing engine — per-job-exact steal
-/// and thread-cache counters (parse defaults to 0, same tolerance as
-/// the v2 set).
-const SERVICE_STAT_FIELDS_V3: [&str; 3] = ["steals", "steal_fails", "local_cache_hits"];
+/// Fields added with the thread-local caches — the per-job-exact L1
+/// hit roll-up (parse defaults to 0, same tolerance as the v2 set).
+const SERVICE_STAT_FIELDS_V3: [&str; 1] = ["local_cache_hits"];
 
 /// Fields added with telemetry — job-latency roll-ups and the event
 /// retention-drop counter (parse defaults to 0, same tolerance as the
@@ -1198,7 +1185,7 @@ fn service_stats_to_json(s: &ServiceStats) -> Json {
     }
     for (k, v) in SERVICE_STAT_FIELDS_V3
         .iter()
-        .zip([s.steals, s.steal_fails, s.local_cache_hits])
+        .zip([s.local_cache_hits])
     {
         fields.push(((*k).to_string(), Json::Int(v as i128)));
     }
@@ -1236,7 +1223,7 @@ fn service_stats_from_json(json: &Json) -> Result<ServiceStats, ProtocolError> {
     for (slot, key) in v2.iter_mut().zip(SERVICE_STAT_FIELDS_V2) {
         *slot = json.opt_u64_field(key)?.unwrap_or(0);
     }
-    let mut v3 = [0u64; 3];
+    let mut v3 = [0u64; 1];
     for (slot, key) in v3.iter_mut().zip(SERVICE_STAT_FIELDS_V3) {
         *slot = json.opt_u64_field(key)?.unwrap_or(0);
     }
@@ -1272,9 +1259,7 @@ fn service_stats_from_json(json: &Json) -> Result<ServiceStats, ProtocolError> {
         in_flight: v2[0],
         arena_lock_waits: v2[1],
         memo_lock_waits: v2[2],
-        steals: v3[0],
-        steal_fails: v3[1],
-        local_cache_hits: v3[2],
+        local_cache_hits: v3[0],
         queue_wait_ms_total: v4[0],
         run_ms_total: v4[1],
         jobs_timed: v4[2],
@@ -1552,7 +1537,6 @@ mod tests {
                     mode: JobMode::V4,
                     bound: Some(20),
                     strategy: Some(StrategyKind::DeepestRob),
-                    threads: 4,
                     max_states: Some(10_000),
                     deadline_ms: Some(2_500),
                     symbolic: vec![sct_core::reg::names::RA],
@@ -1577,7 +1561,6 @@ mod tests {
                     mode: JobMode::V1,
                     bound: Some(16),
                     strategy: Some(StrategyKind::Fifo),
-                    threads: 0,
                     max_states: Some(50_000),
                     deadline_ms: None,
                     symbolic: vec![sct_core::reg::names::RA],
@@ -1611,7 +1594,6 @@ mod tests {
                 mode: JobMode::V1,
                 bound: None,
                 strategy: None,
-                threads: 0,
                 max_states: None,
                 deadline_ms: None,
                 symbolic: vec![],
@@ -1819,6 +1801,14 @@ mod tests {
             panic!("expected submit");
         };
         assert_eq!(spec.max_states, None);
+        // Clients (and write-ahead journal lines) from before the serial
+        // engine became the only one still send `threads`; the key is
+        // ignored, so the line means exactly what it means without it.
+        let without = r#"{"req":"submit","name":"fig1","source":"x","mode":"v1"}"#;
+        let Request::Submit { spec: bare, .. } = Request::parse(without).unwrap() else {
+            panic!("expected submit");
+        };
+        assert_eq!(spec, bare);
 
         // A verdicts line from a pre-fleet daemon has no clamped_states.
         let verdicts = r#"{"resp":"verdicts","id":1,"status":"done"}"#;

@@ -131,24 +131,17 @@ pub struct ExploreStats {
     /// exploration ran (LRU by last hit; same delta-of-global caveat as
     /// [`ExploreStats::solver_queries`]).
     pub solver_memo_evicted: usize,
-    /// Worker threads the exploration ran on (1 = the serial engine).
-    pub threads: usize,
-    /// Contended expression-interner lock acquisitions while this
-    /// exploration ran (delta of the process-wide counter; the
-    /// shard-contention signal the parallel engine is judged by).
+    /// Contended expression-interner lock acquisitions by the
+    /// exploring thread (an exact thread-local count, not a delta of a
+    /// process-wide counter). Nonzero only when other threads use the
+    /// arena at the same time, such as daemon `--jobs K` workers.
     pub arena_lock_waits: usize,
-    /// Contended solver-memo lock acquisitions while this exploration
-    /// ran (same delta-of-global caveat).
+    /// Contended solver-memo lock acquisitions by the exploring thread
+    /// (exact, like [`ExploreStats::arena_lock_waits`]).
     pub memo_lock_waits: usize,
-    /// Cross-worker batch steals the work-stealing engine performed
-    /// (0 under the serial engine).
-    pub steals: usize,
-    /// Steal sweeps that found every donation buffer empty (the worker
-    /// parked afterwards).
-    pub steal_fails: usize,
-    /// Intern constructions and solver queries answered by a worker's
-    /// thread-local L1 cache, touching no shared lock (summed exactly
-    /// over this exploration's workers — no delta-of-global caveat).
+    /// Intern constructions and solver queries answered by the
+    /// exploring thread's L1 cache, touching no shared lock (exact,
+    /// like [`ExploreStats::arena_lock_waits`]).
     pub local_cache_hits: usize,
     /// `true` when exploration hit the state budget and stopped early.
     pub truncated: bool,
@@ -175,11 +168,8 @@ impl Default for ExploreStats {
             solver_memo_hits: 0,
             solver_memo_misses: 0,
             solver_memo_evicted: 0,
-            threads: 1,
             arena_lock_waits: 0,
             memo_lock_waits: 0,
-            steals: 0,
-            steal_fails: 0,
             local_cache_hits: 0,
             truncated: false,
             deadline_exceeded: false,

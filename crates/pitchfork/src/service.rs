@@ -188,9 +188,8 @@ impl fmt::Display for JobMode {
     }
 }
 
-/// Per-job analysis options: mode, bound, frontier order, worker
-/// threads, and symbolized registers. `None` (or 0 for `threads`)
-/// fields inherit the session's setting.
+/// Per-job analysis options: mode, bound, frontier order, budgets, and
+/// symbolized registers. `None` fields inherit the session's setting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JobSpec {
     /// Detector mode.
@@ -199,10 +198,6 @@ pub struct JobSpec {
     pub bound: Option<usize>,
     /// Frontier-order override (`None` = the session's strategy).
     pub strategy: Option<StrategyKind>,
-    /// Worker threads for this job's exploration (0 = the session's
-    /// setting; 1 = serial; n = n-thread frontier — the wire form of
-    /// `--threads`).
-    pub threads: usize,
     /// Per-job state-budget override (`None` = the daemon's default).
     /// A request above the daemon's own budget is clamped down to it,
     /// and the clamp is surfaced on the job's record rather than
@@ -210,7 +205,7 @@ pub struct JobSpec {
     pub max_states: Option<usize>,
     /// Per-job wall-clock deadline in milliseconds, measured from the
     /// moment exploration starts (queue wait does not count). `None`
-    /// never times out. Enforced cooperatively at the engines' stop
+    /// never times out. Enforced cooperatively at the explorer's stop
     /// points; an expired job lands in [`JobStatus::TimedOut`] with
     /// its truncated partial report.
     pub deadline_ms: Option<u64>,
@@ -435,20 +430,13 @@ pub struct ServiceStats {
     /// up to `--jobs K` under concurrent execution).
     pub in_flight: u64,
     /// Cumulative contended interner-lock acquisitions (process-wide;
-    /// the shard-contention signal for concurrent jobs and parallel
-    /// frontiers).
+    /// the shard-contention signal for concurrent jobs).
     pub arena_lock_waits: u64,
     /// Cumulative contended solver-memo-lock acquisitions.
     pub memo_lock_waits: u64,
-    /// Cross-worker batch steals summed over every finished job's
-    /// report (exact per-job attribution — concurrent jobs each roll
-    /// up their own workers' counters, unlike the process-wide
-    /// lock-wait gauges above).
-    pub steals: u64,
-    /// Failed steal sweeps (worker parked) summed over finished jobs.
-    pub steal_fails: u64,
     /// Thread-local L1 cache hits (interner + verdict memo) summed
-    /// over finished jobs.
+    /// over finished jobs (exact per-job attribution, unlike the
+    /// process-wide lock-wait gauges above).
     pub local_cache_hits: u64,
     /// Milliseconds jobs spent queued before execution, summed over
     /// finished jobs.
@@ -979,8 +967,7 @@ impl PreparedJob {
         };
         let report = explorer.explore_observed(initial, &mut observers);
         // Publish this thread's buffered latency spans so a metrics
-        // scrape right after the job sees them (parallel explorations
-        // already publish per worker at join).
+        // scrape right after the job sees them.
         sct_symx::flush_thread_telemetry();
         let timed_out = report.stats.deadline_exceeded;
         FinishedJob {
@@ -1059,12 +1046,10 @@ pub struct SessionService {
     retire_deferred: bool,
     last_reload: Option<sct_cache::LoadStats>,
     last_retire_error: Option<String>,
-    /// Work-stealing counters rolled up from every finished job's
-    /// report (`run_next` and `finish` both feed these, so jobs run
+    /// L1 cache hits rolled up from every finished job's report
+    /// (`run_next` and `finish` both feed this, so jobs run
     /// concurrently off the service lock are attributed exactly
     /// rather than sampled from a process-wide gauge at quiesce).
-    job_steals: u64,
-    job_steal_fails: u64,
     job_local_cache_hits: u64,
     /// Job-latency roll-ups (the wire `Stats` v4 field group): total
     /// queue wait, total run time, and how many jobs they cover.
@@ -1113,8 +1098,6 @@ impl SessionService {
             retire_deferred: false,
             last_reload: None,
             last_retire_error: None,
-            job_steals: 0,
-            job_steal_fails: 0,
             job_local_cache_hits: 0,
             queue_wait_ms_total: 0,
             run_ms_total: 0,
@@ -1192,12 +1175,8 @@ impl SessionService {
         self.monitor.finish(id, report, JobStatus::Done);
     }
 
-    /// Roll one finished job's work-stealing counters into the
-    /// service totals (exact — each job's report already sums its own
-    /// workers).
+    /// Roll one finished job's L1 cache hits into the service totals.
     fn absorb_job_stats(&mut self, stats: &crate::report::ExploreStats) {
-        self.job_steals += stats.steals as u64;
-        self.job_steal_fails += stats.steal_fails as u64;
         self.job_local_cache_hits += stats.local_cache_hits as u64;
     }
 
@@ -1339,9 +1318,6 @@ impl SessionService {
         if let Some(s) = job.spec.strategy {
             self.session.set_strategy(s);
         }
-        if job.spec.threads > 0 {
-            self.session.set_parallelism(job.spec.threads);
-        }
         // Baseline replay: a job carrying a matching fingerprint (same
         // basic-block hashes, same effective analysis configuration)
         // skips exploration entirely and re-reports the baseline
@@ -1358,7 +1334,6 @@ impl SessionService {
                 let b = b.clone();
                 self.session.set_options(saved_options);
                 self.session.set_strategy(saved_options.explorer.strategy);
-                self.session.set_parallelism(saved_options.explorer.threads);
                 self.monitor.set_current(None);
                 self.finalize_replay(id, &job.name, &b, queue_wait_ns);
                 return Some(id);
@@ -1372,7 +1347,6 @@ impl SessionService {
             .analyze_symbolic(&job.program, &job.config, &job.spec.symbolic);
         self.session.set_options(saved_options);
         self.session.set_strategy(saved_options.explorer.strategy);
-        self.session.set_parallelism(saved_options.explorer.threads);
 
         let timed_out = report.stats.deadline_exceeded;
         if timed_out {
@@ -1490,11 +1464,6 @@ impl SessionService {
             let mut options = job.spec.mode.options(bound);
             options.explorer.strategy = job.spec.strategy.unwrap_or(defaults.explorer.strategy);
             options.explorer.dedup_states = defaults.explorer.dedup_states;
-            options.explorer.threads = if job.spec.threads > 0 {
-                job.spec.threads
-            } else {
-                defaults.explorer.threads
-            };
             options.explorer.max_states =
                 self.resolve_state_budget(id, job.spec.max_states, defaults.explorer.max_states);
             options.explorer.deadline_ms = job.spec.deadline_ms;
@@ -1679,8 +1648,6 @@ impl SessionService {
             memo_stale_dropped: memo.stale_dropped,
             last_reload_nodes: self.last_reload.map_or(0, |l| l.added as u64),
             last_reload_verdicts: self.last_reload.map_or(0, |l| l.verdicts_imported as u64),
-            steals: self.job_steals,
-            steal_fails: self.job_steal_fails,
             local_cache_hits: self.job_local_cache_hits,
             queue_wait_ms_total: self.queue_wait_ms_total,
             run_ms_total: self.run_ms_total,
@@ -1871,7 +1838,6 @@ mod tests {
             mode: JobMode::V4,
             bound: Some(12),
             strategy: Some(StrategyKind::Fifo),
-            threads: 0,
             max_states: None,
             deadline_ms: None,
             symbolic: vec![],
@@ -1916,23 +1882,6 @@ mod tests {
             assert_eq!(expanded, report.stats.states);
         }
         assert_eq!(svc.stats().jobs_done, 4);
-    }
-
-    #[test]
-    fn per_job_threads_runs_parallel_engine() {
-        let mut svc = service();
-        let (p, cfg) = fig1();
-        let spec = JobSpec {
-            threads: 2,
-            ..JobSpec::default()
-        };
-        let id = svc.submit(Job::with_spec("fig1-par", p, cfg, spec));
-        svc.run_concurrent(1);
-        let report = svc.record(id).unwrap().report.unwrap();
-        assert_eq!(report.stats.threads, 2);
-        assert!(report.verdict().is_insecure());
-        // The session's own parallelism default is untouched.
-        assert_eq!(svc.session().parallelism(), 1);
     }
 
     // Deferred-retire semantics (retire requested while a prepared job

@@ -87,11 +87,9 @@ impl SessionBuilder {
     fn mode(mut self, mode: DetectorOptions) -> Self {
         let strategy = self.options.explorer.strategy;
         let dedup = self.options.explorer.dedup_states;
-        let threads = self.options.explorer.threads;
         self.options = mode;
         self.options.explorer.strategy = strategy;
         self.options.explorer.dedup_states = dedup;
-        self.options.explorer.threads = threads;
         self
     }
 
@@ -116,17 +114,6 @@ impl SessionBuilder {
     /// Select the frontier order.
     pub fn strategy(mut self, strategy: StrategyKind) -> Self {
         self.options.explorer.strategy = strategy;
-        self
-    }
-
-    /// Worker threads per exploration: `1` (the default) is the serial
-    /// engine, byte-identical to previous releases; `n > 1` explores
-    /// each program's frontier on `n` threads; `0` means one worker
-    /// per available core. Verdicts and witness sets are unchanged —
-    /// see the crate-level "Parallel exploration" section for the
-    /// determinism contract.
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.options.explorer.threads = threads;
         self
     }
 
@@ -236,19 +223,15 @@ impl AnalysisSession {
 
     /// Swap detector options mid-session: mode changes between batches
     /// reuse the session's cache/epoch state. The session's sticky
-    /// knobs — search strategy, deduplication, and parallelism —
-    /// survive the swap, mirroring the builder's mode setters; change
-    /// them with [`AnalysisSession::set_strategy`] /
-    /// [`AnalysisSession::set_dedup`] /
-    /// [`AnalysisSession::set_parallelism`].
+    /// knobs — search strategy and deduplication — survive the swap,
+    /// mirroring the builder's mode setters; change them with
+    /// [`AnalysisSession::set_strategy`] / [`AnalysisSession::set_dedup`].
     pub fn set_options(&mut self, options: DetectorOptions) {
         let strategy = self.options.explorer.strategy;
         let dedup = self.options.explorer.dedup_states;
-        let threads = self.options.explorer.threads;
         self.options = options;
         self.options.explorer.strategy = strategy;
         self.options.explorer.dedup_states = dedup;
-        self.options.explorer.threads = threads;
     }
 
     /// Toggle fingerprint deduplication for subsequent analyses.
@@ -264,17 +247,6 @@ impl AnalysisSession {
     /// Change the frontier order for subsequent analyses.
     pub fn set_strategy(&mut self, strategy: StrategyKind) {
         self.options.explorer.strategy = strategy;
-    }
-
-    /// The configured worker-thread count (see
-    /// [`SessionBuilder::parallelism`]).
-    pub fn parallelism(&self) -> usize {
-        self.options.explorer.threads
-    }
-
-    /// Change the worker-thread count for subsequent analyses.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.options.explorer.threads = threads;
     }
 
     /// What the warm-start load transferred (`None` without a cache, or

@@ -40,14 +40,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// call through [`StrategyKind::frontier`] (or the session's custom
 /// factory). Implementations must be deterministic: two explorations of
 /// the same program with the same options must pop states in the same
-/// order, or reports stop being reproducible. (Parallel exploration
-/// gives each worker its own private frontier of this type and
-/// rebalances by donating batches between workers, so *global* pop
-/// order additionally depends on steal timing there — each worker
-/// still pops its own states in strategy order, and the strategy acts
-/// as a priority *hint* across workers; see the crate-level "Parallel
-/// exploration" notes.)
-pub trait SearchStrategy: Send {
+/// order, or reports stop being reproducible.
+pub trait SearchStrategy {
     /// The strategy's stable display name (appears in
     /// [`crate::ExploreStats::strategy`], JSON reports, and `--strategy`).
     fn name(&self) -> &'static str;
@@ -111,7 +105,7 @@ impl StrategyKind {
     }
 
     /// A fresh frontier implementing this order.
-    pub fn frontier(self) -> Box<dyn SearchStrategy + Send> {
+    pub fn frontier(self) -> Box<dyn SearchStrategy> {
         match self {
             StrategyKind::Lifo => Box::new(Lifo::default()),
             StrategyKind::Fifo => Box::new(Fifo::default()),

@@ -44,7 +44,6 @@ fn random_spec(rng: &mut SmallRng) -> JobSpec {
         strategy: rng
             .gen_bool(0.5)
             .then(|| StrategyKind::ALL[rng.gen_range(0..StrategyKind::ALL.len())]),
-        threads: if rng.gen_bool(0.5) { 0 } else { rng.gen_range(1..16) },
         symbolic: (0..rng.gen_range(0..3)).map(|i| regs[i]).collect(),
         max_states: rng.gen_bool(0.5).then(|| rng.gen_range(1..10_000_000)),
         deadline_ms: rng.gen_bool(0.5).then(|| rng.gen_range(1..3_600_000)),
@@ -109,11 +108,8 @@ fn random_explore_stats(rng: &mut SmallRng) -> ExploreStats {
         solver_memo_hits: rng.gen_range(0..100_000),
         solver_memo_misses: rng.gen_range(0..100_000),
         solver_memo_evicted: rng.gen_range(0..100_000),
-        threads: rng.gen_range(1..16),
         arena_lock_waits: rng.gen_range(0..100_000),
         memo_lock_waits: rng.gen_range(0..100_000),
-        steals: rng.gen_range(0..100_000),
-        steal_fails: rng.gen_range(0..100_000),
         local_cache_hits: rng.gen_range(0..10_000_000),
         truncated: rng.gen_bool(0.5),
         deadline_exceeded: rng.gen_bool(0.5),
@@ -175,8 +171,6 @@ fn random_service_stats(rng: &mut SmallRng) -> ServiceStats {
         in_flight: rng.gen(),
         arena_lock_waits: rng.gen(),
         memo_lock_waits: rng.gen(),
-        steals: rng.gen(),
-        steal_fails: rng.gen(),
         local_cache_hits: rng.gen(),
         queue_wait_ms_total: rng.gen(),
         run_ms_total: rng.gen(),
@@ -198,7 +192,7 @@ fn random_metric(rng: &mut SmallRng) -> sct_telemetry::MetricSnapshot {
         sct_telemetry::names::SOLVER_CHECK_MISS,
         sct_telemetry::names::STATE_EXPAND,
         sct_telemetry::names::JOB_RUN,
-        "worker_busy_ns{worker=\"3\"}",
+        "fleet_shard_ns{worker=\"3\"}",
     ];
     let name = names[rng.gen_range(0..names.len())].to_string();
     match rng.gen_range(0..3) {

@@ -28,8 +28,8 @@
 //!   fixed-seed two-lane 128-bit word hasher behind state fingerprints.
 //!
 //! The arena is shared by every analysis in the process — batch runs
-//! over a corpus, and worker threads of one parallel exploration,
-//! reuse each other's expressions; [`arena_stats`] reports the
+//! over a corpus, and concurrent daemon jobs, reuse each other's
+//! expressions; [`arena_stats`] reports the
 //! sharing. Both the interner and the verdict memo are **lock-striped**
 //! ([`NUM_SHARDS`] / [`MEMO_SHARDS`] shards keyed by structural hash),
 //! so concurrent interning and memo probes from many threads contend
@@ -40,7 +40,7 @@
 //! and applications, and memoized solver verdicts — so the dominant
 //! hit path touches no shared lock at all; the caches are flushed on
 //! epoch retirement, and [`thread_stats`] reports the calling thread's
-//! exact hit and lock-wait counts for per-worker attribution. The arena also outlives the
+//! exact hit and lock-wait counts for per-job attribution. The arena also outlives the
 //! process: [`export_all`] / [`import_arena`] flatten and re-intern it
 //! with id remapping (the `sct-cache` crate persists both the arena
 //! and the verdict memo to disk), and [`retire_arena`] gives

@@ -17,7 +17,7 @@
 //!
 //! Verdicts are memoized in a **lock-striped** process-wide table: the
 //! canonical constraint-set key picks one of [`MEMO_SHARDS`] mutexes,
-//! so parallel explorations answering from the memo contend only when
+//! so concurrent explorations answering from the memo contend only when
 //! two threads ask about keys in the same stripe. Recency and capacity
 //! stay *global* — one logical LRU across all stripes — so the
 //! eviction contract is unchanged from the single-table implementation.

@@ -34,7 +34,7 @@
 //! `_bucket{le="..."}` cumulative series, `_sum` / `_count`, and a
 //! human-oriented summary comment per histogram
 //! (`# name p50=... p90=... p99=... max=...`). Metric names may embed a
-//! label set (`worker_busy_ns{worker="0"}`); the renderer folds extra
+//! label set (`fleet_dispatch_total{worker="0"}`); the renderer folds extra
 //! labels into the series it derives.
 
 #![warn(missing_docs)]
@@ -545,12 +545,8 @@ pub mod names {
     pub const SOLVER_CHECK_HIT: &str = "solver_check_hit_ns";
     /// `Solver::check` latency through the full pipeline (memo miss).
     pub const SOLVER_CHECK_MISS: &str = "solver_check_miss_ns";
-    /// Per-state expansion latency in the explorer (serial and
-    /// parallel engines).
+    /// Per-state expansion latency in the explorer.
     pub const STATE_EXPAND: &str = "state_expand_ns";
-    /// Latency of one steal attempt (`grab_batch`) in the
-    /// work-stealing engine.
-    pub const STEAL_ATTEMPT: &str = "steal_attempt_ns";
     /// Daemon job queue-wait latency (submit → dequeue).
     pub const JOB_QUEUE_WAIT: &str = "job_queue_wait_ns";
     /// Daemon job run latency (dequeue → finished).
@@ -584,21 +580,6 @@ pub mod names {
     /// Corrupt cache snapshots / baselines quarantined with a `.bad`
     /// rename and degraded to a cold start.
     pub const CACHE_QUARANTINED: &str = "cache_quarantined_total";
-
-    /// Nanoseconds worker `i` spent expanding states.
-    pub fn worker_busy(i: usize) -> String {
-        format!("worker_busy_ns{{worker=\"{i}\"}}")
-    }
-
-    /// Nanoseconds worker `i` spent hunting for work (steal sweeps).
-    pub fn worker_steal(i: usize) -> String {
-        format!("worker_steal_ns{{worker=\"{i}\"}}")
-    }
-
-    /// Nanoseconds worker `i` spent parked on the idle condvar.
-    pub fn worker_parked(i: usize) -> String {
-        format!("worker_parked_ns{{worker=\"{i}\"}}")
-    }
 
     /// Corpus shards the fleet coordinator dispatched to worker `i`.
     pub fn fleet_dispatch(i: usize) -> String {
@@ -1073,10 +1054,10 @@ mod tests {
     #[test]
     fn labeled_counter_renders_label_set_verbatim() {
         let r = MetricsRegistry::new();
-        r.counter(&names::worker_busy(0)).add(7);
+        r.counter(&names::fleet_dispatch(0)).add(7);
         let text = render_prometheus(&r.snapshot());
-        assert!(text.contains("# TYPE worker_busy_ns counter"));
-        assert!(text.contains("worker_busy_ns{worker=\"0\"} 7\n"));
+        assert!(text.contains("# TYPE fleet_dispatch_total counter"));
+        assert!(text.contains("fleet_dispatch_total{worker=\"0\"} 7\n"));
     }
 
     #[test]
